@@ -9,9 +9,10 @@
 //!   mentions (footnote 6) a "more sophisticated" early-abandoning variant
 //!   that turned out to be slower on average; it is provided too.
 //! * **VA-File** ([`vafile`]) — Weber, Schek & Blott's vector-approximation
-//!   file: an 8-bit-per-dimension approximation is scanned to produce a
-//!   candidate set with safe lower/upper bounds, and an exact refinement
-//!   step resolves the final answer. Used in Table 4.
+//!   file: an 8-bit-per-dimension approximation (a whole-table
+//!   `vdstore::StoreCodes`) is scanned by the engine's quantized sweep to
+//!   produce a candidate set with safe lower/upper bounds, and an exact
+//!   refinement step resolves the final answer. Used in Table 4.
 //! * **Stream merging** ([`stream_merge`]) — the classical way to evaluate
 //!   multi-feature queries (Fagin; Güntzer et al.): obtain a ranked stream
 //!   of results per feature and merge them with a threshold-style algorithm

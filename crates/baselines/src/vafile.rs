@@ -4,31 +4,27 @@
 //! small approximation (typically 8 bits per dimension) of every vector is
 //! scanned in a *filter* step that produces a candidate set with safe
 //! score bounds; a *refinement* step then looks up the exact vectors of the
-//! candidates and resolves the true top k. We implement the filter for both
-//! metrics the paper uses:
+//! candidates and resolves the true top k, under any decomposable metric.
 //!
-//! * squared Euclidean distance — per-dimension lower/upper distances from
-//!   the query to the candidate's quantization cell;
-//! * histogram intersection — per-dimension bounds `min(cell_lo, q)` /
-//!   `min(cell_hi, q)`.
+//! The filter keeps the k-th best *pessimistic* bound τ and retains every
+//! vector whose *optimistic* bound can still reach it, which is precisely
+//! the VA-SSA variant of the original paper.
 //!
-//! The filter keeps a running k-th best *pessimistic* bound and retains
-//! every vector whose *optimistic* bound beats it, which is precisely the
-//! VA-SSA variant of the original paper.
-//!
-//! The per-cell bounds are *not* implemented here: the filter asks the
-//! metric itself for the best and worst contribution any value inside a
-//! quantization cell can make
-//! ([`DecomposableMetric::best_contribution`] /
-//! [`DecomposableMetric::worst_contribution`]) — the same single bound
-//! implementation the compressed BOND searcher and the execution engine's
-//! quantized first-pass filter build on, so baseline and engine are
-//! guaranteed to agree on what the codes prove.
+//! Nothing about the codes or the bounds is implemented here. The
+//! approximation is a one-segment [`StoreCodes`]
+//! ([`StoreCodes::whole_table`]) and the filter sweep is the execution
+//! engine's quantized first pass
+//! ([`bond::quantfilter::interval_scores`]): per-cell contribution LUTs
+//! accumulated over every code column by the dispatched ISA kernel. The
+//! baseline, compressed BOND and the engine therefore agree by
+//! construction on what the codes prove.
 
-use bond_metrics::{DecomposableMetric, HistogramIntersection, Objective, SquaredEuclidean};
+use bond::quantfilter;
+use bond::BondError;
+use bond_metrics::{DecomposableMetric, Objective};
 use vdstore::topk::Scored;
 use vdstore::{
-    DecomposedTable, QuantizedTable, Result, RowId, RowMatrix, TopKLargest, TopKSmallest,
+    DecomposedTable, Result, RowId, RowMatrix, StoreCodes, TopKLargest, TopKSmallest, VdError,
 };
 
 /// The result of a complete VA-File search (filter + refinement).
@@ -48,66 +44,70 @@ pub struct VaSearchResult {
 /// A vector-approximation file over a decomposed table.
 #[derive(Debug, Clone)]
 pub struct VaFile {
-    quantized: QuantizedTable,
+    codes: StoreCodes,
 }
 
 impl VaFile {
     /// Builds the approximation with the given number of bits per dimension
-    /// (the paper and the original VA-File use 8).
+    /// (1..=8; the paper and the original VA-File use 8).
     pub fn build(table: &DecomposedTable, bits: u8) -> Result<Self> {
-        Ok(VaFile { quantized: QuantizedTable::from_table(table, bits)? })
+        Ok(VaFile { codes: StoreCodes::whole_table(table, bits)? })
     }
 
-    /// The underlying quantized table.
-    pub fn quantized(&self) -> &QuantizedTable {
-        &self.quantized
+    /// The underlying whole-table codes.
+    pub fn codes(&self) -> &StoreCodes {
+        &self.codes
     }
 
-    /// Approximate size of the approximation file in bytes.
+    /// Size of the approximation file in bytes: one code byte per
+    /// (row, dimension).
     pub fn approx_bytes(&self) -> usize {
-        self.quantized.approx_bytes()
+        self.codes.rows() * self.codes.dims()
     }
 
-    /// Filter step under any decomposable metric: accumulates, per row, the
-    /// optimistic and pessimistic full-score bounds the metric derives from
-    /// each quantization cell, proves the k-th best pessimistic bound τ and
-    /// keeps every row whose optimistic bound can still reach it. Returns
-    /// the candidate rows and the number of code inspections.
+    /// Filter step under any decomposable metric: sweeps every code column
+    /// into per-row optimistic and pessimistic full-score bounds, proves
+    /// the k-th best pessimistic bound τ and keeps every row whose
+    /// optimistic bound can still reach it. Returns the candidate rows and
+    /// the number of code inspections.
     ///
     /// Metrics that leave the default (vacuous) interval bounds degenerate
     /// the filter to "keep everything" — never to a wrong answer.
+    ///
+    /// # Errors
+    ///
+    /// [`VdError::DimensionMismatch`] when the query's length differs from
+    /// the table's dimensionality; [`VdError::InvalidK`] when `k` is zero.
     pub fn filter_metric(
         &self,
         metric: &dyn DecomposableMetric,
         query: &[f64],
         k: usize,
-    ) -> (Vec<RowId>, usize) {
-        let rows = self.quantized.rows();
-        let dims = self.quantized.dims();
-        assert_eq!(query.len(), dims, "query dimensionality mismatch");
-        assert!(k > 0, "k must be positive");
-        let mut opt = vec![0.0f64; rows];
-        let mut pes = vec![0.0f64; rows];
-        for (d, &q) in query.iter().enumerate() {
-            let col = self.quantized.column(d).expect("dimension in range");
-            for r in 0..rows {
-                let lo = col.cell_lower(r as RowId);
-                let hi = col.cell_upper(r as RowId);
-                opt[r] += metric.best_contribution(d, lo, hi, q);
-                pes[r] += metric.worst_contribution(d, lo, hi, q);
-            }
+    ) -> Result<(Vec<RowId>, usize)> {
+        let rows = self.codes.rows();
+        let dims = self.codes.dims();
+        if query.len() != dims {
+            return Err(VdError::DimensionMismatch { expected: dims, actual: query.len() });
         }
+        if k == 0 {
+            return Err(VdError::InvalidK { k, rows });
+        }
+        let bounds = quantfilter::interval_scores(&self.codes.segment_view(0)?, metric, query)
+            .map_err(|e| match e {
+                BondError::Storage(e) => e,
+                other => VdError::InvalidArgument(other.to_string()),
+            })?;
         let tau = match metric.objective() {
             Objective::Maximize => {
                 let mut heap = TopKLargest::new(k.min(rows));
-                for (r, &p) in pes.iter().enumerate() {
+                for (r, &p) in bounds.pes.iter().enumerate() {
                     heap.push(r as RowId, p);
                 }
                 heap.kth()
             }
             Objective::Minimize => {
                 let mut heap = TopKSmallest::new(k.min(rows));
-                for (r, &p) in pes.iter().enumerate() {
+                for (r, &p) in bounds.pes.iter().enumerate() {
                     heap.push(r as RowId, p);
                 }
                 heap.kth()
@@ -118,38 +118,25 @@ impl VaFile {
             None => (0..rows as RowId).collect(),
             Some(tau) => (0..rows as RowId)
                 .filter(|&r| match metric.objective() {
-                    Objective::Maximize => opt[r as usize] >= tau - 1e-12,
-                    Objective::Minimize => opt[r as usize] <= tau + 1e-12,
+                    Objective::Maximize => bounds.opt[r as usize] >= tau - 1e-12,
+                    Objective::Minimize => bounds.opt[r as usize] <= tau + 1e-12,
                 })
                 .collect(),
         };
-        (candidates, rows * dims)
-    }
-
-    /// Filter step for squared Euclidean distance: returns the candidate
-    /// rows (those whose lower-bound distance does not exceed the k-th
-    /// smallest upper-bound distance) and the number of code inspections.
-    pub fn filter_euclidean(&self, query: &[f64], k: usize) -> (Vec<RowId>, usize) {
-        self.filter_metric(&SquaredEuclidean, query, k)
-    }
-
-    /// Filter step for histogram intersection: returns the candidate rows
-    /// (those whose upper-bound similarity reaches the k-th largest
-    /// lower-bound similarity) and the number of code inspections.
-    pub fn filter_histogram(&self, query: &[f64], k: usize) -> (Vec<RowId>, usize) {
-        self.filter_metric(&HistogramIntersection, query, k)
+        Ok((candidates, bounds.cells as usize))
     }
 
     /// Complete search (filter + exact refinement) under any decomposable
-    /// metric. `exact` must hold the original vectors.
+    /// metric. `exact` must hold the original vectors. Fails like
+    /// [`VaFile::filter_metric`].
     pub fn search_metric(
         &self,
         exact: &RowMatrix,
         metric: &dyn DecomposableMetric,
         query: &[f64],
         k: usize,
-    ) -> VaSearchResult {
-        let (candidates, filter_work) = self.filter_metric(metric, query, k);
+    ) -> Result<VaSearchResult> {
+        let (candidates, filter_work) = self.filter_metric(metric, query, k)?;
         let cap = k.min(candidates.len().max(1));
         let hits = match metric.objective() {
             Objective::Maximize => {
@@ -167,24 +154,12 @@ impl VaFile {
                 heap.into_sorted_vec()
             }
         };
-        VaSearchResult {
+        Ok(VaSearchResult {
             hits,
             candidates_after_filter: candidates.len(),
             filter_dims_touched: filter_work,
             refine_dims_touched: candidates.len() * exact.dims(),
-        }
-    }
-
-    /// Complete search (filter + exact refinement) under squared Euclidean
-    /// distance. `exact` must hold the original vectors.
-    pub fn search_euclidean(&self, exact: &RowMatrix, query: &[f64], k: usize) -> VaSearchResult {
-        self.search_metric(exact, &SquaredEuclidean, query, k)
-    }
-
-    /// Complete search (filter + exact refinement) under histogram
-    /// intersection.
-    pub fn search_histogram(&self, exact: &RowMatrix, query: &[f64], k: usize) -> VaSearchResult {
-        self.search_metric(exact, &HistogramIntersection, query, k)
+        })
     }
 }
 
@@ -192,6 +167,7 @@ impl VaFile {
 mod tests {
     use super::*;
     use crate::seqscan::sequential_scan;
+    use bond_metrics::{HistogramIntersection, SquaredEuclidean};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -218,7 +194,7 @@ mod tests {
         for (qi, k) in [(0u32, 1usize), (5, 5), (17, 10)] {
             let query = table.row(qi).unwrap();
             let truth = sequential_scan(&exact, &query, k, &SquaredEuclidean);
-            let result = va.search_euclidean(&exact, &query, k);
+            let result = va.search_metric(&exact, &SquaredEuclidean, &query, k).unwrap();
             let rows = |hits: &[Scored]| {
                 let mut v: Vec<RowId> = hits.iter().map(|s| s.row).collect();
                 v.sort_unstable();
@@ -238,7 +214,7 @@ mod tests {
         for (qi, k) in [(3u32, 1usize), (42, 5), (99, 10)] {
             let query = table.row(qi).unwrap();
             let truth = sequential_scan(&exact, &query, k, &HistogramIntersection);
-            let result = va.search_histogram(&exact, &query, k);
+            let result = va.search_metric(&exact, &HistogramIntersection, &query, k).unwrap();
             let rows = |hits: &[Scored]| {
                 let mut v: Vec<RowId> = hits.iter().map(|s| s.row).collect();
                 v.sort_unstable();
@@ -254,8 +230,8 @@ mod tests {
         let query = table.row(0).unwrap();
         let va8 = VaFile::build(&table, 8).unwrap();
         let va2 = VaFile::build(&table, 2).unwrap();
-        let (c8, _) = va8.filter_euclidean(&query, 10);
-        let (c2, _) = va2.filter_euclidean(&query, 10);
+        let (c8, _) = va8.filter_metric(&SquaredEuclidean, &query, 10).unwrap();
+        let (c2, _) = va2.filter_metric(&SquaredEuclidean, &query, 10).unwrap();
         assert!(
             c2.len() >= c8.len(),
             "coarser quantization cannot produce fewer candidates ({} vs {})",
@@ -273,7 +249,7 @@ mod tests {
         for qi in [1u32, 50, 200] {
             let query = table.row(qi).unwrap();
             let truth = sequential_scan(&exact, &query, 10, &SquaredEuclidean);
-            let (candidates, _) = va.filter_euclidean(&query, 10);
+            let (candidates, _) = va.filter_metric(&SquaredEuclidean, &query, 10).unwrap();
             for hit in &truth.hits {
                 assert!(
                     candidates.contains(&hit.row),
@@ -298,7 +274,7 @@ mod tests {
         for qi in [4u32, 120, 250] {
             let query = table.row(qi).unwrap();
             let truth = sequential_scan(&exact, &query, 10, &metric);
-            let result = va.search_metric(&exact, &metric, &query, 10);
+            let result = va.search_metric(&exact, &metric, &query, 10).unwrap();
             let rows = |hits: &[Scored]| {
                 let mut v: Vec<RowId> = hits.iter().map(|s| s.row).collect();
                 v.sort_unstable();
@@ -315,10 +291,37 @@ mod tests {
         let exact = table.to_row_matrix();
         let va = VaFile::build(&table, 8).unwrap();
         let query = table.row(9).unwrap();
-        let r = va.search_euclidean(&exact, &query, 3);
+        let r = va.search_metric(&exact, &SquaredEuclidean, &query, 3).unwrap();
         assert_eq!(r.filter_dims_touched, 600);
         assert_eq!(r.refine_dims_touched, r.candidates_after_filter * 6);
         assert_eq!(r.hits.len(), 3);
-        assert_eq!(va.quantized().bits(), 8);
+        assert_eq!(va.codes().bits(), 8);
+    }
+
+    #[test]
+    fn query_dimension_mismatch_is_a_typed_error() {
+        let table = random_table(50, 6, 19);
+        let exact = table.to_row_matrix();
+        let va = VaFile::build(&table, 8).unwrap();
+        let expected = VdError::DimensionMismatch { expected: 6, actual: 4 };
+        assert_eq!(va.filter_metric(&SquaredEuclidean, &[0.1; 4], 3).unwrap_err(), expected);
+        assert_eq!(
+            va.search_metric(&exact, &HistogramIntersection, &[0.1; 4], 3).unwrap_err(),
+            expected
+        );
+    }
+
+    #[test]
+    fn zero_k_is_a_typed_error() {
+        let table = random_table(50, 6, 29);
+        let exact = table.to_row_matrix();
+        let va = VaFile::build(&table, 8).unwrap();
+        let query = table.row(0).unwrap();
+        let expected = VdError::InvalidK { k: 0, rows: 50 };
+        assert_eq!(va.filter_metric(&SquaredEuclidean, &query, 0).unwrap_err(), expected);
+        assert_eq!(
+            va.search_metric(&exact, &HistogramIntersection, &query, 0).unwrap_err(),
+            expected
+        );
     }
 }

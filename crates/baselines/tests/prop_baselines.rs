@@ -42,17 +42,17 @@ proptest! {
         let va = VaFile::build(&table, bits).unwrap();
 
         let truth_e = sequential_scan(&matrix, &query, k, &SquaredEuclidean);
-        let (candidates, _) = va.filter_euclidean(&query, k);
+        let (candidates, _) = va.filter_metric(&SquaredEuclidean, &query, k).unwrap();
         for hit in &truth_e.hits {
             prop_assert!(candidates.contains(&hit.row));
         }
-        let full = va.search_euclidean(&matrix, &query, k);
+        let full = va.search_metric(&matrix, &SquaredEuclidean, &query, k).unwrap();
         for (a, b) in sorted_scores(&full.hits).iter().zip(sorted_scores(&truth_e.hits)) {
             prop_assert!((a - b).abs() < 1e-9);
         }
 
         let truth_h = sequential_scan(&matrix, &query, k, &HistogramIntersection);
-        let (candidates, _) = va.filter_histogram(&query, k);
+        let (candidates, _) = va.filter_metric(&HistogramIntersection, &query, k).unwrap();
         for hit in &truth_h.hits {
             prop_assert!(candidates.contains(&hit.row));
         }

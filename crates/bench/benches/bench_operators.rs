@@ -6,7 +6,7 @@
 use bond_bench::{workloads, ExperimentScale};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use vdstore::{ops, Bitmap, QuantizedColumn};
+use vdstore::{ops, Bitmap, StoreCodes};
 
 fn bench_operators(c: &mut Criterion) {
     let table = workloads::corel(ExperimentScale::Small);
@@ -37,8 +37,8 @@ fn bench_operators(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    group.bench_function("quantize_column_8bit", |b| {
-        b.iter(|| black_box(QuantizedColumn::from_column(column, 8).unwrap()))
+    group.bench_function("quantize_table_8bit", |b| {
+        b.iter(|| black_box(StoreCodes::whole_table(&table, 8).unwrap()))
     });
     group.bench_function("accumulate_block", |b| {
         let mut partial = vec![0.0f64; rows];

@@ -8,14 +8,14 @@ use bond_bench::{workloads, ExperimentScale};
 use bond_metrics::{DecomposableMetric, HistogramIntersection};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use vdstore::QuantizedTable;
+use vdstore::StoreCodes;
 
 fn bench_table4(c: &mut Criterion) {
     let scale = ExperimentScale::Small;
     let table = workloads::corel(scale);
     let matrix = table.to_row_matrix();
     let queries = workloads::queries(&table, scale);
-    let quantized = QuantizedTable::from_table(&table, 8).unwrap();
+    let codes = StoreCodes::whole_table(&table, 8).unwrap();
     let vafile = VaFile::build(&table, 8).unwrap();
     let k = 10;
 
@@ -26,8 +26,9 @@ fn bench_table4(c: &mut Criterion) {
             let q = &queries[i % queries.len()];
             i += 1;
             black_box(
-                bond::compressed_filter_histogram(
-                    &quantized,
+                bond::compressed_filter(
+                    &codes,
+                    &HistogramIntersection,
                     q,
                     k,
                     BlockSchedule::Fixed(8),
@@ -42,13 +43,14 @@ fn bench_table4(c: &mut Criterion) {
         b.iter(|| {
             let q = &queries[i % queries.len()];
             i += 1;
-            black_box(vafile.filter_histogram(q, k));
+            black_box(vafile.filter_metric(&HistogramIntersection, q, k).unwrap());
         })
     });
     group.bench_function("refinement_step", |b| {
         // refine a precomputed candidate set (the first query's) with exact values
-        let candidates = bond::compressed_filter_histogram(
-            &quantized,
+        let candidates = bond::compressed_filter(
+            &codes,
+            &HistogramIntersection,
             &queries[0],
             k,
             BlockSchedule::Fixed(8),

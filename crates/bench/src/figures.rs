@@ -7,7 +7,7 @@
 
 use bond::{BlockSchedule, BondParams, BondSearcher, DimensionOrdering, PruneTrace};
 use bond_metrics::{EqRule, HistogramIntersection, SquaredEuclidean};
-use vdstore::{DatasetStats, DecomposedTable, QuantizedTable};
+use vdstore::{DatasetStats, DecomposedTable, StoreCodes};
 
 use crate::{workloads, ExperimentScale};
 
@@ -232,12 +232,13 @@ pub fn fig9(scale: ExperimentScale) -> Vec<PruningSeries> {
     let queries = workloads::queries(&table, scale);
     let params = default_params(8);
     let exact = run_histogram(&table, &queries, 10, &params, false);
-    let quantized = QuantizedTable::from_table(&table, 8).expect("quantization succeeds");
+    let codes = StoreCodes::whole_table(&table, 8).expect("quantization succeeds");
     let compressed: Vec<PruneTrace> = queries
         .iter()
         .map(|q| {
-            bond::compressed_filter_histogram(
-                &quantized,
+            bond::compressed_filter(
+                &codes,
+                &HistogramIntersection,
                 q,
                 10,
                 BlockSchedule::Fixed(8),

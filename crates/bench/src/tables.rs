@@ -9,7 +9,7 @@ use bond_metrics::{
     CandidateState, DecomposableMetric, HhRule, HistogramIntersection, HqRule, PruningRule,
     SquaredEuclidean,
 };
-use vdstore::{QuantizedTable, RowMatrix};
+use vdstore::{RowMatrix, StoreCodes};
 
 use crate::{workloads, ExperimentScale};
 
@@ -213,7 +213,7 @@ pub fn table4(scale: ExperimentScale) -> Table4 {
     let table = workloads::corel(scale);
     let matrix = table.to_row_matrix();
     let queries = workloads::queries(&table, scale);
-    let quantized = QuantizedTable::from_table(&table, 8).expect("quantization succeeds");
+    let codes = StoreCodes::whole_table(&table, 8).expect("quantization succeeds");
     let vafile = VaFile::build(&table, 8).expect("va-file build succeeds");
     let k = 10;
 
@@ -226,8 +226,9 @@ pub fn table4(scale: ExperimentScale) -> Table4 {
         let mut filter = None;
         bond_filter_times.push(time_ms(|| {
             filter = Some(
-                bond::compressed_filter_histogram(
-                    &quantized,
+                bond::compressed_filter(
+                    &codes,
+                    &HistogramIntersection,
                     q,
                     k,
                     BlockSchedule::Fixed(8),
@@ -241,9 +242,9 @@ pub fn table4(scale: ExperimentScale) -> Table4 {
 
         let mut va = None;
         va_filter_times.push(time_ms(|| {
-            va = Some(vafile.filter_histogram(q, k));
+            va = vafile.filter_metric(&HistogramIntersection, q, k).ok();
         }));
-        va_candidates += va.expect("filter ran").0.len();
+        va_candidates += va.expect("va-file filter succeeds").0.len();
 
         // the refinement step is common to both approaches; time it on the
         // BOND candidate set

@@ -7,25 +7,27 @@
 //! and a final refinement step computes exact scores only for the candidates
 //! that survive. Because a code only brackets the original value, the
 //! partial "score" of a candidate becomes an interval
-//! `[partial_worst, partial_best]` built from
-//! [`DecomposableMetric::worst_contribution`] /
-//! [`DecomposableMetric::best_contribution`] over the row's cell bounds;
-//! pruning compares a candidate's optimistic full-score bound against the
-//! k-th best pessimistic one — exactly the exact-value criteria with the
-//! quantization slack folded in, so no true neighbour can be lost.
+//! `[partial_worst, partial_best]`; pruning compares a candidate's
+//! optimistic full-score bound against the k-th best pessimistic one —
+//! exactly the exact-value criteria with the quantization slack folded in,
+//! so no true neighbour can be lost.
 //!
-//! The paper runs this experiment with histogram intersection (criterion
-//! Hq); [`compressed_filter`] generalizes the same interval argument to
-//! every decomposable metric (Eq/Ev and the weighted variants included),
-//! which is the single bound implementation the execution engine's
-//! quantized filter ([`crate::quantfilter`]) and the VA-File baseline
-//! share. The Hq-only entry points remain as thin wrappers.
+//! The codes are a one-segment [`StoreCodes`]
+//! ([`StoreCodes::whole_table`]), and the per-cell bounds come from the LUT
+//! build the execution engine's quantized filter uses
+//! ([`quantfilter::fill_contribution_lut`]): per scanned dimension, one
+//! `[best, worst]` contribution pair per code cell, which every alive row
+//! then picks up by its code byte. The paper runs this experiment with
+//! histogram intersection (criterion Hq); the same interval argument holds
+//! for every decomposable metric, so callers pass the metric.
 
-use bond_metrics::{DecomposableMetric, HistogramIntersection, Objective};
-use vdstore::{DecomposedTable, QuantizedTable, RowId, TopKLargest, TopKSmallest};
+use bond_metrics::{DecomposableMetric, Objective};
+use vdstore::{DecomposedTable, RowId, StoreCodes, TopKLargest, TopKSmallest};
 
 use crate::error::{BondError, Result};
+use crate::kernels::Kernel;
 use crate::ordering::DimensionOrdering;
+use crate::quantfilter;
 use crate::schedule::BlockSchedule;
 use crate::searcher::{BondParams, SearchOutcome};
 use crate::trace::{PruneTrace, TraceCheckpoint};
@@ -39,33 +41,40 @@ pub struct CompressedFilter {
     pub trace: PruneTrace,
 }
 
-/// Runs the BOND pruning loop on quantized fragments under any decomposable
-/// metric, returning the surviving candidate set (guaranteed to contain the
-/// true top k).
+/// Runs the BOND pruning loop on the codes of a one-segment [`StoreCodes`]
+/// under any decomposable metric, returning the surviving candidate set
+/// (guaranteed to contain the true top k).
 ///
 /// Per scanned dimension a candidate accumulates the best- and worst-case
-/// contribution its value interval admits; the unscanned remainder is
-/// bounded by the columns' `[min, max]` envelopes. κ is the k-th best
-/// pessimistic full-score bound; a candidate is pruned when its optimistic
-/// full-score bound cannot reach κ. Metrics whose
-/// [`DecomposableMetric::worst_contribution`] keeps the vacuous default
-/// degrade to an unpruned scan, never to a wrong answer.
+/// contribution of its code cell, read from the dimension's contribution
+/// LUT; the unscanned remainder is bounded by the grids' `[min, max]`
+/// envelopes. κ is the k-th best pessimistic full-score bound; a candidate
+/// is pruned when its optimistic full-score bound cannot reach κ. Metrics
+/// whose [`DecomposableMetric::worst_contribution`] keeps the vacuous
+/// default degrade to an unpruned scan, never to a wrong answer.
 pub fn compressed_filter(
-    quantized: &QuantizedTable,
+    codes: &StoreCodes,
     metric: &dyn DecomposableMetric,
     query: &[f64],
     k: usize,
     schedule: BlockSchedule,
     ordering: &DimensionOrdering,
 ) -> Result<CompressedFilter> {
-    let dims = quantized.dims();
-    let rows = quantized.rows();
+    let dims = codes.dims();
+    let rows = codes.rows();
     if query.len() != dims {
         return Err(BondError::QueryDimensionMismatch { expected: dims, actual: query.len() });
     }
     if k == 0 || k > rows {
         return Err(BondError::InvalidK { k, rows });
     }
+    if codes.n_segments() != 1 {
+        return Err(BondError::InvalidParams(format!(
+            "compressed search needs whole-table codes (one segment), got {} segments",
+            codes.n_segments()
+        )));
+    }
+    let view = codes.segment_view(0)?;
     let order = ordering.order(query, None, dims);
     if !DimensionOrdering::is_valid_permutation(&order, dims) {
         return Err(BondError::InvalidParams(
@@ -73,11 +82,14 @@ pub fn compressed_filter(
         ));
     }
     let objective = metric.objective();
+    let kernel = Kernel::active();
 
     let mut partial_best = vec![0.0f64; rows];
     let mut partial_worst = vec![0.0f64; rows];
     let mut alive: Vec<RowId> = (0..rows as RowId).collect();
     let mut trace = PruneTrace::default();
+    let mut lut = vec![0.0f64; view.levels() * 2];
+    let mut bounds = Vec::new();
 
     let mut processed = 0usize;
     let mut attempts = 0usize;
@@ -87,12 +99,20 @@ pub fn compressed_filter(
             break;
         }
         for &d in &order[processed..processed + block] {
-            let column = quantized.column(d)?;
-            let q = query[d];
+            quantfilter::fill_contribution_lut(
+                kernel,
+                metric,
+                d,
+                view.params(d),
+                query[d],
+                &mut bounds,
+                &mut lut,
+            );
+            let column = view.dim_codes(d)?;
             for &row in &alive {
-                let (lo, hi) = (column.cell_lower(row), column.cell_upper(row));
-                partial_best[row as usize] += metric.best_contribution(d, lo, hi, q);
-                partial_worst[row as usize] += metric.worst_contribution(d, lo, hi, q);
+                let cell = 2 * column[row as usize] as usize;
+                partial_best[row as usize] += lut[cell];
+                partial_worst[row as usize] += lut[cell + 1];
             }
         }
         trace.contributions_evaluated += (block * alive.len()) as u64;
@@ -103,14 +123,13 @@ pub fn compressed_filter(
         }
 
         // The unscanned dimensions contribute at best/worst what their
-        // whole column envelope admits.
+        // whole grid envelope admits.
         let mut remaining_best = 0.0f64;
         let mut remaining_worst = 0.0f64;
         for &d in &order[processed..] {
-            let column = quantized.column(d)?;
-            let (min, max) = (column.min(), column.max());
-            remaining_best += metric.best_contribution(d, min, max, query[d]);
-            remaining_worst += metric.worst_contribution(d, min, max, query[d]);
+            let grid = view.params(d);
+            remaining_best += metric.best_contribution(d, grid.min, grid.max, query[d]);
+            remaining_worst += metric.worst_contribution(d, grid.min, grid.max, query[d]);
         }
         let kappa = match objective {
             Objective::Maximize => {
@@ -159,22 +178,22 @@ pub fn compressed_filter(
 }
 
 /// Complete compressed search under any decomposable metric: filter on the
-/// quantized fragments, then refine the candidates with exact values from
-/// the original table.
+/// whole-table codes, then refine the candidates with exact values from the
+/// original table.
 pub fn search_compressed(
     exact: &DecomposedTable,
-    quantized: &QuantizedTable,
+    codes: &StoreCodes,
     metric: &dyn DecomposableMetric,
     query: &[f64],
     k: usize,
     params: &BondParams,
 ) -> Result<SearchOutcome> {
-    if exact.rows() != quantized.rows() || exact.dims() != quantized.dims() {
+    if exact.rows() != codes.rows() || exact.dims() != codes.dims() {
         return Err(BondError::InvalidParams(
-            "exact table and quantized table must describe the same collection".into(),
+            "exact table and codes must describe the same collection".into(),
         ));
     }
-    let filter = compressed_filter(quantized, metric, query, k, params.schedule, &params.ordering)?;
+    let filter = compressed_filter(codes, metric, query, k, params.schedule, &params.ordering)?;
     let mut trace = filter.trace;
     trace.contributions_evaluated += (filter.candidates.len() * exact.dims()) as u64;
     let hits = match metric.objective() {
@@ -196,34 +215,14 @@ pub fn search_compressed(
     Ok(SearchOutcome { hits, trace })
 }
 
-/// [`compressed_filter`] specialised to histogram intersection — the
-/// configuration the paper's Section 7.4 experiment reports.
-pub fn compressed_filter_histogram(
-    quantized: &QuantizedTable,
-    query: &[f64],
-    k: usize,
-    schedule: BlockSchedule,
-    ordering: &DimensionOrdering,
-) -> Result<CompressedFilter> {
-    compressed_filter(quantized, &HistogramIntersection, query, k, schedule, ordering)
-}
-
-/// [`search_compressed`] specialised to histogram intersection.
-pub fn search_compressed_histogram(
-    exact: &DecomposedTable,
-    quantized: &QuantizedTable,
-    query: &[f64],
-    k: usize,
-    params: &BondParams,
-) -> Result<SearchOutcome> {
-    search_compressed(exact, quantized, &HistogramIntersection, query, k, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::searcher::BondSearcher;
-    use bond_metrics::{SquaredEuclidean, WeightedHistogramIntersection, WeightedSquaredEuclidean};
+    use bond_metrics::{
+        HistogramIntersection, SquaredEuclidean, WeightedHistogramIntersection,
+        WeightedSquaredEuclidean,
+    };
 
     fn table() -> DecomposedTable {
         // 40 histograms over 8 bins with varying shapes
@@ -263,15 +262,22 @@ mod tests {
     #[test]
     fn compressed_search_finds_the_exact_top_k() {
         let exact = table();
-        let quantized = QuantizedTable::from_table(&exact, 8).unwrap();
+        let quantized = StoreCodes::whole_table(&exact, 8).unwrap();
         let searcher = BondSearcher::new(&exact);
         let params = BondParams { schedule: BlockSchedule::Fixed(2), ..BondParams::default() };
         for qi in [0u32, 7, 21] {
             let query = exact.row(qi).unwrap();
             for k in [1usize, 5, 10] {
                 let truth = searcher.histogram_intersection_hq(&query, k, &params).unwrap();
-                let compressed =
-                    search_compressed_histogram(&exact, &quantized, &query, k, &params).unwrap();
+                let compressed = search_compressed(
+                    &exact,
+                    &quantized,
+                    &HistogramIntersection,
+                    &query,
+                    k,
+                    &params,
+                )
+                .unwrap();
                 let rows = |o: &SearchOutcome| {
                     let mut v: Vec<RowId> = o.hits.iter().map(|h| h.row).collect();
                     v.sort_unstable();
@@ -304,7 +310,7 @@ mod tests {
         let params = BondParams { schedule: BlockSchedule::Fixed(2), ..BondParams::default() };
         for metric in metrics {
             for bits in [4u8, 8] {
-                let quantized = QuantizedTable::from_table(&exact, bits).unwrap();
+                let quantized = StoreCodes::whole_table(&exact, bits).unwrap();
                 for qi in [2u32, 13, 30] {
                     let query = exact.row(qi).unwrap();
                     for k in [1usize, 4, 9] {
@@ -340,13 +346,14 @@ mod tests {
     #[test]
     fn filter_candidates_superset_of_top_k() {
         let exact = table();
-        let quantized = QuantizedTable::from_table(&exact, 4).unwrap();
+        let quantized = StoreCodes::whole_table(&exact, 4).unwrap();
         let searcher = BondSearcher::new(&exact);
         let query = exact.row(3).unwrap();
         let params = BondParams::default();
         let truth = searcher.histogram_intersection_hq(&query, 5, &params).unwrap();
-        let filter = compressed_filter_histogram(
+        let filter = compressed_filter(
             &quantized,
+            &HistogramIntersection,
             &query,
             5,
             BlockSchedule::Fixed(2),
@@ -362,12 +369,13 @@ mod tests {
     #[test]
     fn coarser_codes_leave_more_candidates() {
         let exact = table();
-        let q8 = QuantizedTable::from_table(&exact, 8).unwrap();
-        let q2 = QuantizedTable::from_table(&exact, 2).unwrap();
+        let q8 = StoreCodes::whole_table(&exact, 8).unwrap();
+        let q2 = StoreCodes::whole_table(&exact, 2).unwrap();
         let query = exact.row(11).unwrap();
-        let run = |qt: &QuantizedTable| {
-            compressed_filter_histogram(
+        let run = |qt: &StoreCodes| {
+            compressed_filter(
                 qt,
+                &HistogramIntersection,
                 &query,
                 3,
                 BlockSchedule::Fixed(2),
@@ -395,7 +403,7 @@ mod tests {
             }
         }
         let exact = table();
-        let quantized = QuantizedTable::from_table(&exact, 8).unwrap();
+        let quantized = StoreCodes::whole_table(&exact, 8).unwrap();
         let query = exact.row(0).unwrap();
         let filter = compressed_filter(
             &quantized,
@@ -412,18 +420,27 @@ mod tests {
     #[test]
     fn validation() {
         let exact = table();
-        let quantized = QuantizedTable::from_table(&exact, 8).unwrap();
+        let quantized = StoreCodes::whole_table(&exact, 8).unwrap();
         let params = BondParams::default();
+        let hq = &HistogramIntersection;
         assert!(matches!(
-            search_compressed_histogram(&exact, &quantized, &[0.5; 3], 1, &params),
+            search_compressed(&exact, &quantized, hq, &[0.5; 3], 1, &params),
             Err(BondError::QueryDimensionMismatch { .. })
         ));
         assert!(matches!(
-            search_compressed_histogram(&exact, &quantized, &[0.125; 8], 0, &params),
+            search_compressed(&exact, &quantized, hq, &[0.125; 8], 0, &params),
             Err(BondError::InvalidK { .. })
         ));
         let other = DecomposedTable::from_vectors("other", &[vec![0.5, 0.5]]).unwrap();
-        let other_q = QuantizedTable::from_table(&other, 8).unwrap();
-        assert!(search_compressed_histogram(&exact, &other_q, &[0.125; 8], 1, &params).is_err());
+        let other_q = StoreCodes::whole_table(&other, 8).unwrap();
+        assert!(search_compressed(&exact, &other_q, hq, &[0.125; 8], 1, &params).is_err());
+        // per-segment engine codes are not a whole-table grid
+        let specs = exact.partition_specs(2);
+        let stats: Vec<_> = specs.iter().map(|s| s.view(&exact).unwrap().stats()).collect();
+        let segmented = StoreCodes::build(&exact, &specs, &stats, 8).unwrap();
+        assert!(matches!(
+            search_compressed(&exact, &segmented, hq, &[0.125; 8], 1, &params),
+            Err(BondError::InvalidParams(_))
+        ));
     }
 }

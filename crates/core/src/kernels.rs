@@ -770,13 +770,16 @@ mod x86 {
                         Some(s) => _mm256_mul_pd(_mm256_mul_pd(s, d), d),
                         None => _mm256_mul_pd(d, d),
                     };
-                    // worst: the farther endpoint
+                    // worst: the farther endpoint, `(w·d)·d` like `best`
                     let dl = _mm256_sub_pd(lo, vq);
                     let dh = _mm256_sub_pd(hi, vq);
-                    let mut worst = _mm256_max_pd(_mm256_mul_pd(dl, dl), _mm256_mul_pd(dh, dh));
-                    if let Some(s) = scale {
-                        worst = _mm256_mul_pd(s, worst);
-                    }
+                    let worst = match scale {
+                        Some(s) => _mm256_max_pd(
+                            _mm256_mul_pd(_mm256_mul_pd(s, dl), dl),
+                            _mm256_mul_pd(_mm256_mul_pd(s, dh), dh),
+                        ),
+                        None => _mm256_max_pd(_mm256_mul_pd(dl, dl), _mm256_mul_pd(dh, dh)),
+                    };
                     _mm256_storeu_pd(out.add(2 * c), _mm256_blend_pd::<0b1010>(best, worst));
                     ilo = _mm256_add_pd(ilo, two);
                     ihi = _mm256_add_pd(ihi, two);

@@ -50,8 +50,9 @@
 //!   plans (a-priori or feedback-blended) and per-segment cost estimates,
 //! * [`weighted`] — weighted and subspace k-NN queries (Section 8.1),
 //! * [`multifeature`] — synchronized multi-feature search (Section 8.2),
-//! * [`compressed`] — BOND on 8-bit-quantized fragments with an exact
-//!   refinement step (Section 7.4, Figure 9 / Table 4),
+//! * [`compressed`] — BOND on 8-bit-quantized fragments (whole-table
+//!   `StoreCodes`, bounds from the quantized filter's LUT build) with an
+//!   exact refinement step (Section 7.4, Figure 9 / Table 4),
 //! * [`quantfilter`] — the branch-free quantized first-pass scan kernel the
 //!   execution engine runs before the exact search (LUT sweep over `u8`
 //!   code columns, interval score bounds, approximate codes-only top-k),
@@ -83,10 +84,7 @@ pub mod trace;
 pub mod weighted;
 
 pub use candidates::CandidateSet;
-pub use compressed::{
-    compressed_filter, compressed_filter_histogram, search_compressed, search_compressed_histogram,
-    CompressedFilter,
-};
+pub use compressed::{compressed_filter, search_compressed, CompressedFilter};
 pub use cost::CostModel;
 pub use error::{BondError, Result};
 pub use feedback::{ExecFeedback, FeedbackSnapshot, SegmentFeedback, SegmentFeedbackSnapshot};

@@ -18,8 +18,10 @@
 //!   before a single exact `f64` is read.
 //!
 //! Safety rests on one invariant, property-tested per metric in
-//! `bond-metrics`: `worst_contribution ≤ contribution ≤ best_contribution`
-//! for any value inside the cell. Metrics that do not override
+//! `bond-metrics` and on the built LUTs themselves in
+//! `crates/core/tests/lut_bounds.rs`:
+//! `worst_contribution ≤ contribution ≤ best_contribution` for any value
+//! inside the cell. Metrics that do not override
 //! `worst_contribution` keep the vacuous default, which degenerates the
 //! filter to "keep everything" — never to a wrong answer.
 //!
@@ -31,7 +33,7 @@ use std::cell::RefCell;
 
 use bond_metrics::{DecomposableMetric, Objective};
 use vdstore::topk::Scored;
-use vdstore::{Bitmap, SegmentCodesView, TopKLargest, TopKSmallest};
+use vdstore::{Bitmap, CodeParams, SegmentCodesView, TopKLargest, TopKSmallest};
 
 use crate::error::{BondError, Result};
 use crate::kappa::KappaCell;
@@ -98,6 +100,37 @@ thread_local! {
     /// "per-task scratch" the filter path wants without threading a
     /// handle through every call site.
     static SCRATCH: RefCell<QuantScratch> = RefCell::new(QuantScratch::new());
+}
+
+/// Fills `lut` with one dimension's interleaved `[best, worst]`
+/// contribution pairs, one per cell of `grid` (`lut.len()` must be
+/// `2 * grid.levels()`): `lut[2*c]` / `lut[2*c + 1]` bracket the
+/// contribution of any value inside cell `c` against `query`.
+///
+/// This is the one place a code grid becomes bounds. The fused ISA build
+/// ([`kernels::fill_pair_lut`]) runs when the metric exposes a kernel op
+/// and `kernel` has one; otherwise the portable
+/// [`vdstore::CodeParams::fill_cell_bounds`] +
+/// [`DecomposableMetric::fill_contribution_pairs`] build runs, with
+/// `bounds` as its scratch. Both produce the same bits.
+#[inline]
+pub fn fill_contribution_lut(
+    kernel: Kernel,
+    metric: &dyn DecomposableMetric,
+    dim: usize,
+    grid: CodeParams,
+    query: f64,
+    bounds: &mut Vec<(f64, f64)>,
+    lut: &mut [f64],
+) {
+    let fused = metric
+        .kernel_op()
+        .is_some_and(|op| kernels::fill_pair_lut(kernel, op, dim, grid, query, lut));
+    if !fused {
+        bounds.resize(grid.levels() as usize, (0.0, 0.0));
+        grid.fill_cell_bounds(bounds);
+        metric.fill_contribution_pairs(dim, bounds, query, lut);
+    }
 }
 
 /// Sweeps all code fragments of one segment into `scratch` using the given
@@ -182,17 +215,7 @@ pub fn interval_scores_into(
             let q = query[d];
             let grid = codes.params(d);
             let lut = &mut scratch.opt_lut[j * levels * 2..(j + 1) * levels * 2];
-            // Fused ISA LUT build when the metric exposes a kernel op —
-            // bit-identical to the portable two-step build below, which
-            // stays both the fallback and the reference.
-            let fused = metric
-                .kernel_op()
-                .is_some_and(|op| kernels::fill_pair_lut(kernel, op, d, grid, q, lut));
-            if !fused {
-                scratch.bounds.resize(levels, (0.0, 0.0));
-                grid.fill_cell_bounds(&mut scratch.bounds);
-                metric.fill_contribution_pairs(d, &scratch.bounds, q, lut);
-            }
+            fill_contribution_lut(kernel, metric, d, grid, q, &mut scratch.bounds, lut);
             *column = codes.dim_codes(d)?;
         }
         kernels::sweep_pairs(

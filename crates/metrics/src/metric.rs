@@ -480,9 +480,13 @@ impl DecomposableMetric for WeightedSquaredEuclidean {
 
     #[inline]
     fn worst_contribution(&self, dim: usize, lo: f64, hi: f64, query: f64) -> f64 {
+        // the farther edge's contribution, rounded exactly like
+        // `contribution` — `(w·d)·d`, not `w·(d·d)`, which can land one ulp
+        // below the contribution of a value inside the interval
+        let w = self.weights[dim];
         let dl = lo - query;
         let dh = hi - query;
-        self.weights[dim] * (dl * dl).max(dh * dh)
+        (w * dl * dl).max(w * dh * dh)
     }
 
     fn name(&self) -> &'static str {

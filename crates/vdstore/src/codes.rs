@@ -1,13 +1,18 @@
-//! Per-segment quantized code companions of a decomposed table.
+//! Quantized code companions of a decomposed table — the repository's one
+//! scalar-quantization format.
 //!
 //! Section 7.4 of the paper composes BOND with VA-File-style scalar codes:
 //! prune on small approximations, touch exact values only for survivors.
-//! [`crate::quantize::QuantizedColumn`] quantizes a whole column with one
-//! global `[min, max]`; this module builds the engine-facing variant — one
-//! flat `u8` code fragment per dimension, encoded **per segment** with that
-//! segment's tightened `[min, max]` envelope (the same envelopes the
-//! zone-map check already keeps in [`SegmentStats`]). Tighter ranges mean
-//! narrower cells, which means tighter score intervals in the filter pass.
+//! [`StoreCodes`] holds one flat `u8` code fragment per dimension, encoded
+//! **per segment** with that segment's `[min, max]` envelope (the same
+//! envelopes the zone-map check already keeps in [`SegmentStats`]).
+//! Tighter ranges mean narrower cells, which means tighter score intervals
+//! in the filter pass. A store partitioned into one segment
+//! ([`StoreCodes::whole_table`]) has one grid per column over the column's
+//! full range: the layout BOND on compressed fragments and the VA-File
+//! baseline scan. The execution engine, compressed BOND and the VA-File all
+//! turn a grid into bounds through one LUT build in `bond-core`
+//! (`quantfilter::fill_contribution_lut`).
 //!
 //! The codes persist inside the `BONDVD02` footer (see [`crate::persist`])
 //! with one FNV-1a checksum per dimension, and on the mapped backend they
@@ -229,6 +234,18 @@ impl StoreCodes {
         bits: u8,
     ) -> Result<Self> {
         Self::build_mixed(table, specs, stats, &vec![bits; specs.len()])
+    }
+
+    /// [`StoreCodes::build`] over a single segment spanning the whole
+    /// table: one grid per dimension over the column's `[min, max]`. Fails
+    /// on an empty table.
+    pub fn whole_table(table: &DecomposedTable, bits: u8) -> Result<Self> {
+        if table.rows() == 0 {
+            return Err(VdError::Empty("table"));
+        }
+        let specs = table.partition_specs(1);
+        let stats = [specs[0].view(table)?.stats()];
+        Self::build(table, &specs, &stats, bits)
     }
 
     /// [`StoreCodes::build`] with one bit width **per segment** — the
@@ -603,6 +620,27 @@ mod tests {
         let uniform = StoreCodes::build(&table, &specs, &stats, 8).unwrap();
         assert_eq!(uniform.uniform_bits(), Some(8));
         assert_eq!(uniform.segment_bits(), &[8, 8, 8]);
+    }
+
+    #[test]
+    fn whole_table_codes_span_each_column() {
+        let (table, _, _) = sample_table();
+        let codes = StoreCodes::whole_table(&table, 8).unwrap();
+        assert_eq!(codes.n_segments(), 1);
+        assert!(codes.matches_specs(&table.partition_specs(1)));
+        let view = codes.segment_view(0).unwrap();
+        assert_eq!(view.len(), table.rows());
+        for d in 0..table.dims() {
+            let column = table.column(d).unwrap();
+            let grid = view.params(d);
+            assert_eq!((grid.min, grid.max), (column.min().unwrap(), column.max().unwrap()));
+            for (&code, &v) in view.dim_codes(d).unwrap().iter().zip(column.values()) {
+                assert!((grid.approximate(code) - v).abs() <= grid.max_error() + 1e-12);
+            }
+        }
+        let empty =
+            DecomposedTable::from_columns("empty", vec![crate::Column::new("c", vec![])]).unwrap();
+        assert_eq!(StoreCodes::whole_table(&empty, 8).unwrap_err(), VdError::Empty("table"));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub enum VdError {
         /// Newest version this build supports.
         supported: u32,
     },
-    /// Invalid quantization parameters (e.g. zero bits or more than 16).
+    /// Invalid quantization parameters (e.g. zero bits or more than 8).
     InvalidQuantization(String),
     /// Invalid argument with a human-readable description.
     InvalidArgument(String),

@@ -17,17 +17,16 @@
 //!   range select), positional joins/gathers and element-wise maps,
 //! * [`Bitmap`] is the candidate-set representation used in the early BOND
 //!   iterations before the engine switches to materialised candidate lists,
-//! * [`quantize`] provides the 8-bit scalar quantization used both by
-//!   BOND-on-compressed-fragments (Figure 9 / Table 4) and by the VA-File
-//!   baseline,
-//! * [`codes`] builds the per-segment `u8` code companions the execution
-//!   engine's quantized first-pass filter sweeps — persisted in the v2
-//!   footer and exposed zero-copy on the mapped backend,
+//! * [`codes`] is the one scalar-quantization format: `u8` code fragments
+//!   with one grid per (segment, dimension). The execution engine's
+//!   quantized first-pass filter sweeps them per segment — persisted in the
+//!   v2 footer and exposed zero-copy on the mapped backend — and a
+//!   one-segment build is the whole-table grid of BOND on compressed
+//!   fragments (Figure 9 / Table 4) and of the VA-File baseline,
 //! * [`stats`] computes the dataset statistics of Figure 2 that motivate the
 //!   dimension-ordering heuristics,
-//! * [`persist`] serialises decomposed tables to a simple binary format
-//!   (v1) and, since the persistent segment store (v2), writes the column
-//!   fragments 8-byte aligned with a stats/zone-map footer so a reopened
+//! * [`persist`] writes the persistent segment store: column fragments
+//!   8-byte aligned with a stats/zone-map footer so a reopened
 //!   store hands its partition boundaries and [`SegmentStats`] to a planner
 //!   before any data page is touched,
 //! * [`mmap`] provides the file-backed [`MappedRegion`] a reopened store's
@@ -49,7 +48,6 @@ pub mod error;
 pub mod mmap;
 pub mod ops;
 pub mod persist;
-pub mod quantize;
 pub mod rowmatrix;
 pub mod segment;
 pub mod stats;
@@ -63,7 +61,6 @@ pub use column::{Column, ColumnData};
 pub use error::{Result, VdError};
 pub use mmap::{Advice, MappedRegion, StorageBackend};
 pub use persist::{PersistReport, PersistedStore};
-pub use quantize::{QuantizedColumn, QuantizedTable};
 pub use rowmatrix::RowMatrix;
 pub use segment::{Envelope, Segment, SegmentSpec, SegmentStats};
 pub use stats::{ColumnStats, DatasetStats};

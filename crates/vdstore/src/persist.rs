@@ -1,19 +1,16 @@
 //! Binary persistence of decomposed tables.
 //!
-//! Two formats live here:
-//!
-//! * **v1 (`BONDVD01`)** — the original table-only stream: header, columns,
-//!   tombstones. Kept for compatibility ([`table_to_bytes`] /
-//!   [`table_from_bytes`] and the file wrappers).
-//! * **v2 (`BONDVD02`)** — the *persistent segment store*: the same
-//!   contiguous column fragments, 8-byte aligned so they can be viewed
-//!   in-place through a file mapping, plus a **stats/zone-map footer**
-//!   carrying the partition boundaries ([`SegmentSpec`]s) and the
-//!   per-segment statistics ([`SegmentStats`]: per-dimension envelopes,
-//!   row-sum ranges, live-row counts) a search planner needs *before* any
-//!   data page is faulted in. A trailer at the end of the file locates the
-//!   footer, so a cold open reads header + footer + trailer only — the
-//!   fragments stay untouched until a search scans them.
+//! The format is the **v2 (`BONDVD02`) persistent segment store**: the
+//! contiguous column fragments, 8-byte aligned so they can be viewed
+//! in-place through a file mapping, plus a **stats/zone-map footer**
+//! carrying the partition boundaries ([`SegmentSpec`]s) and the
+//! per-segment statistics ([`SegmentStats`]: per-dimension envelopes,
+//! row-sum ranges, live-row counts) a search planner needs *before* any
+//! data page is faulted in. A trailer at the end of the file locates the
+//! footer, so a cold open reads header + footer + trailer only — the
+//! fragments stay untouched until a search scans them. The table-only v1
+//! stream (`BONDVD01`) is no longer read or written: its magic reports as
+//! [`VdError::UnsupportedVersion`].
 //!
 //! v2 layout (all integers little-endian):
 //!
@@ -82,101 +79,12 @@ use crate::table::DecomposedTable;
 use crate::RowId;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"BONDVD01";
 const MAGIC_V2: &[u8; 8] = b"BONDVD02";
 const MAGIC_PREFIX: &[u8; 6] = b"BONDVD";
 const TAIL_MAGIC_V2: &[u8; 8] = b"BONDFT02";
 const TRAILER_LEN: usize = 16;
 /// Newest store format version this build reads.
 pub const STORE_VERSION: u32 = 2;
-
-/// Serialises a table into a byte buffer (format v1, table only).
-pub fn table_to_bytes(table: &DecomposedTable) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + table.rows() * table.dims() * 8);
-    buf.put_slice(MAGIC);
-    put_string(&mut buf, table.name());
-    buf.put_u32_le(table.dims() as u32);
-    buf.put_u64_le(table.rows() as u64);
-    for c in table.columns() {
-        put_string(&mut buf, c.name());
-        for &v in c.values() {
-            buf.put_f64_le(v);
-        }
-    }
-    // tombstones: store as the list of deleted row ids (usually tiny)
-    let deleted: Vec<u32> = (0..table.rows() as u32).filter(|&r| table.is_deleted(r)).collect();
-    buf.put_u32_le(deleted.len() as u32);
-    for r in deleted {
-        buf.put_u32_le(r);
-    }
-    buf.freeze()
-}
-
-/// Reconstructs a table from a byte buffer produced by [`table_to_bytes`].
-pub fn table_from_bytes(bytes: &[u8]) -> Result<DecomposedTable> {
-    let mut buf = bytes;
-    check_magic(&mut buf, MAGIC, 1)?;
-    let name = get_string(&mut buf)?;
-    if buf.remaining() < 12 {
-        return Err(VdError::Corrupt("truncated header".into()));
-    }
-    let dims = buf.get_u32_le() as usize;
-    let rows = checked_rows(buf.get_u64_le())?;
-    if dims == 0 {
-        return Err(VdError::Corrupt("zero dimensions".into()));
-    }
-    let column_bytes = rows
-        .checked_mul(8)
-        .ok_or_else(|| VdError::Corrupt("column byte length overflows".into()))?;
-    let mut columns = Vec::with_capacity(dims.min(1024));
-    for _ in 0..dims {
-        let cname = get_string(&mut buf)?;
-        if buf.remaining() < column_bytes {
-            return Err(VdError::Corrupt("truncated column data".into()));
-        }
-        let mut values = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            values.push(buf.get_f64_le());
-        }
-        columns.push(Column::new(cname, values));
-    }
-    let mut table = DecomposedTable::from_columns(name, columns)?;
-    if buf.remaining() < 4 {
-        return Err(VdError::Corrupt("missing tombstone section".into()));
-    }
-    let n_deleted = buf.get_u32_le() as usize;
-    let tombstone_bytes = n_deleted
-        .checked_mul(4)
-        .ok_or_else(|| VdError::Corrupt("tombstone byte length overflows".into()))?;
-    if buf.remaining() < tombstone_bytes {
-        return Err(VdError::Corrupt("truncated tombstone list".into()));
-    }
-    for _ in 0..n_deleted {
-        let r = buf.get_u32_le();
-        table.delete(r)?;
-    }
-    if buf.remaining() != 0 {
-        return Err(VdError::Corrupt(format!(
-            "{} trailing bytes after the tombstone list",
-            buf.remaining()
-        )));
-    }
-    Ok(table)
-}
-
-/// Writes a table to a file (format v1).
-pub fn save_table(table: &DecomposedTable, path: &Path) -> Result<()> {
-    let bytes = table_to_bytes(table);
-    std::fs::write(path, &bytes)
-        .map_err(|e| VdError::Io(format!("writing {}: {e}", path.display())))
-}
-
-/// Reads a table from a file (format v1).
-pub fn load_table(path: &Path) -> Result<DecomposedTable> {
-    let bytes =
-        std::fs::read(path).map_err(|e| VdError::Io(format!("reading {}: {e}", path.display())))?;
-    table_from_bytes(&bytes)
-}
 
 /// Serialises only the live-row bitmap of a table (useful for persisting the
 /// result of a prior selection predicate to combine with k-NN search).
@@ -214,7 +122,7 @@ pub fn bitmap_from_bytes(bytes: &[u8]) -> Result<Bitmap> {
 }
 
 // ---------------------------------------------------------------------------
-// v2: the persistent segment store
+// the persistent segment store
 // ---------------------------------------------------------------------------
 
 /// A reopened persistent segment store: the table plus the partition
@@ -1045,73 +953,38 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_everything() {
-        let t = sample();
-        let bytes = table_to_bytes(&t);
-        let back = table_from_bytes(&bytes).unwrap();
-        assert_eq!(back.name(), "corel_sample");
-        assert_eq!(back.dims(), 2);
-        assert_eq!(back.rows(), 3);
-        assert_eq!(back.row(0).unwrap(), t.row(0).unwrap());
-        assert!(back.is_deleted(1));
-        assert_eq!(back.live_rows(), 2);
-        assert_eq!(back.column(0).unwrap().name(), "dim_0");
-    }
-
-    #[test]
     fn corrupt_inputs_are_rejected() {
-        let t = sample();
-        let bytes = table_to_bytes(&t);
-        assert!(table_from_bytes(&[]).is_err());
-        assert!(table_from_bytes(&bytes[..4]).is_err());
+        let bytes = sample_store_bytes(2);
+        assert!(matches!(store_from_bytes(&[]), Err(VdError::Corrupt(_))));
+        assert!(matches!(store_from_bytes(&bytes[..4]), Err(VdError::Corrupt(_))));
         let mut bad_magic = bytes.to_vec();
         bad_magic[0] = b'X';
-        assert!(table_from_bytes(&bad_magic).is_err());
-        let truncated = &bytes[..bytes.len() - 8];
-        assert!(table_from_bytes(truncated).is_err());
+        assert!(matches!(store_from_bytes(&bad_magic), Err(VdError::Corrupt(_))));
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let t = sample();
-        let mut padded = table_to_bytes(&t).to_vec();
+        // a byte appended after the trailer moves the trailer window off
+        // the tail magic
+        let mut padded = sample_store_bytes(2).to_vec();
         padded.push(0);
-        let err = table_from_bytes(&padded).unwrap_err();
-        assert!(matches!(err, VdError::Corrupt(ref msg) if msg.contains("trailing")), "{err}");
+        assert!(matches!(store_from_bytes(&padded), Err(VdError::Corrupt(_))));
     }
 
     #[test]
     fn version_mismatch_is_typed() {
-        // a v2 store pushed through the v1 reader reports the version gap
-        let bytes = sample_store_bytes(2);
-        assert_eq!(
-            table_from_bytes(&bytes).unwrap_err(),
-            VdError::UnsupportedVersion { found: 2, supported: 1 }
-        );
-        // and vice versa
-        let v1 = table_to_bytes(&sample());
+        // a v1 stream (table-only format, no longer supported) reports the
+        // version gap from its magic alone
+        let mut v1 = b"BONDVD01".to_vec();
+        v1.extend_from_slice(&[0u8; 32]);
         assert_eq!(
             store_from_bytes(&v1).unwrap_err(),
             VdError::UnsupportedVersion { found: 1, supported: 2 }
         );
         // an unrecognisable version suffix is plain corruption
-        let mut weird = v1.to_vec();
-        weird[6] = b'x';
-        weird[7] = b'y';
-        assert!(matches!(table_from_bytes(&weird), Err(VdError::Corrupt(_))));
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("vdstore_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("table.bondvd");
-        let t = sample();
-        save_table(&t, &path).unwrap();
-        let back = load_table(&path).unwrap();
-        assert_eq!(back.rows(), t.rows());
-        std::fs::remove_file(&path).unwrap();
-        assert!(matches!(load_table(&path), Err(VdError::Io(_))));
+        v1[6] = b'x';
+        v1[7] = b'y';
+        assert!(matches!(store_from_bytes(&v1), Err(VdError::Corrupt(_))));
     }
 
     #[test]

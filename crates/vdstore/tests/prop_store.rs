@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use vdstore::{
-    ops, persist, Bitmap, Column, DecomposedTable, QuantizedColumn, TopKLargest, TopKSmallest,
+    ops, persist, Bitmap, Column, DecomposedTable, StoreCodes, TopKLargest, TopKSmallest,
 };
 
 const LEN: usize = 200;
@@ -16,6 +16,10 @@ fn rows(max: u32) -> impl Strategy<Value = Vec<u32>> {
         v.dedup();
         v
     })
+}
+
+fn one_column(values: Vec<f64>) -> DecomposedTable {
+    DecomposedTable::from_columns("t", vec![Column::new("c", values)]).unwrap()
 }
 
 proptest! {
@@ -52,17 +56,14 @@ proptest! {
     #[test]
     fn quantization_brackets_every_value(
         values in proptest::collection::vec(-10.0f64..10.0, 1..120),
-        bits in 1u8..=12,
+        bits in 1u8..=8,
     ) {
-        let column = Column::new("c", values.clone());
-        let q = QuantizedColumn::from_column(&column, bits).unwrap();
-        for (i, &v) in values.iter().enumerate() {
-            let r = i as u32;
-            prop_assert!(q.cell_lower(r) <= v + 1e-9);
-            prop_assert!(q.cell_upper(r) >= v - 1e-9);
-            prop_assert!((q.approximate(r) - v).abs() <= q.max_error() + 1e-9);
-            let (lo, hi) = q.query_cell(v);
+        let codes = StoreCodes::whole_table(&one_column(values.clone()), bits).unwrap();
+        let grid = codes.segment_view(0).unwrap().params(0);
+        for (&code, &v) in codes.dim_codes(0).unwrap().iter().zip(&values) {
+            let (lo, hi) = grid.cell_bounds(code);
             prop_assert!(lo <= v + 1e-9 && v <= hi + 1e-9);
+            prop_assert!((grid.approximate(code) - v).abs() <= grid.max_error() + 1e-9);
         }
     }
 
@@ -71,7 +72,7 @@ proptest! {
         values in proptest::collection::vec(-10.0f64..10.0, 1..60),
         at_seed in 0usize..1_000_000_000,
         kind in 0u8..3,
-        bits in 1u8..=16,
+        bits in 1u8..=8,
     ) {
         let mut values = values;
         let at = at_seed % values.len();
@@ -80,8 +81,7 @@ proptest! {
             1 => f64::INFINITY,
             _ => f64::NEG_INFINITY,
         };
-        let column = Column::new("c", values);
-        let err = QuantizedColumn::from_column(&column, bits).unwrap_err();
+        let err = StoreCodes::whole_table(&one_column(values), bits).unwrap_err();
         prop_assert!(matches!(err, vdstore::VdError::InvalidQuantization(_)));
     }
 
@@ -89,16 +89,15 @@ proptest! {
     fn all_equal_columns_quantize_to_exact_single_level_codes(
         value in -10.0f64..10.0,
         len in 1usize..80,
-        bits in 1u8..=12,
+        bits in 1u8..=8,
     ) {
-        let column = Column::new("c", vec![value; len]);
-        let q = QuantizedColumn::from_column(&column, bits).unwrap();
-        prop_assert_eq!(q.max_error(), 0.0);
-        for r in 0..len as u32 {
-            prop_assert_eq!(q.code(r), 0);
-            prop_assert_eq!(q.cell_lower(r), value);
-            prop_assert_eq!(q.cell_upper(r), value);
-            prop_assert_eq!(q.approximate(r), value);
+        let codes = StoreCodes::whole_table(&one_column(vec![value; len]), bits).unwrap();
+        let grid = codes.segment_view(0).unwrap().params(0);
+        prop_assert_eq!(grid.max_error(), 0.0);
+        for &code in codes.dim_codes(0).unwrap() {
+            prop_assert_eq!(code, 0);
+            prop_assert_eq!(grid.cell_bounds(code), (value, value));
+            prop_assert_eq!(grid.approximate(code), value);
         }
     }
 
@@ -155,8 +154,10 @@ proptest! {
                 table.delete(i as u32).unwrap();
             }
         }
-        let bytes = persist::table_to_bytes(&table);
-        let back = persist::table_from_bytes(&bytes).unwrap();
+        let specs = table.partition_specs(1);
+        let stats = [specs[0].view(&table).unwrap().stats()];
+        let bytes = persist::store_to_bytes(&table, &specs, &stats, None).unwrap();
+        let back = persist::store_from_bytes(&bytes).unwrap().table;
         prop_assert_eq!(back.rows(), table.rows());
         prop_assert_eq!(back.dims(), table.dims());
         prop_assert_eq!(back.live_rows(), table.live_rows());

@@ -52,7 +52,9 @@ fn main() {
         scan_ms += start.elapsed().as_secs_f64() * 1000.0;
 
         let start = Instant::now();
-        let va_result = vafile.search_histogram(&matrix, query, k);
+        let va_result = vafile
+            .search_metric(&matrix, &HistogramIntersection, query, k)
+            .expect("va-file search succeeds");
         va_ms += start.elapsed().as_secs_f64() * 1000.0;
 
         let rows = |hits: &[vdstore::topk::Scored]| {

@@ -8,7 +8,7 @@ use bond_baselines::{sequential_scan, sequential_scan_early_abandon, VaFile};
 use bond_datagen::{sample_queries, CorelLikeConfig};
 use bond_metrics::{HistogramIntersection, SquaredEuclidean};
 use bond_relalg::BondHqProgram;
-use vdstore::QuantizedTable;
+use vdstore::StoreCodes;
 
 fn sorted_scores(scores: impl IntoIterator<Item = f64>) -> Vec<f64> {
     let mut v: Vec<f64> = scores.into_iter().collect();
@@ -27,7 +27,7 @@ fn assert_scores_match(label: &str, a: &[f64], b: &[f64]) {
 fn all_methods_agree_on_corel_like_workload() {
     let table = CorelLikeConfig::small(1_500, 48).generate();
     let matrix = table.to_row_matrix();
-    let quantized = QuantizedTable::from_table(&table, 8).unwrap();
+    let codes = StoreCodes::whole_table(&table, 8).unwrap();
     let vafile = VaFile::build(&table, 8).unwrap();
     let searcher = BondSearcher::new(&table);
     let params = BondParams {
@@ -52,14 +52,15 @@ fn all_methods_agree_on_corel_like_workload() {
         assert_scores_match("MIL", &sorted_scores(mil.hits.iter().map(|h| h.score)), &truth_scores);
 
         let compressed =
-            bond::search_compressed_histogram(&table, &quantized, &query, k, &params).unwrap();
+            bond::search_compressed(&table, &codes, &HistogramIntersection, &query, k, &params)
+                .unwrap();
         assert_scores_match(
             "compressed",
             &sorted_scores(compressed.hits.iter().map(|h| h.score)),
             &truth_scores,
         );
 
-        let va = vafile.search_histogram(&matrix, &query, k);
+        let va = vafile.search_metric(&matrix, &HistogramIntersection, &query, k).unwrap();
         assert_scores_match(
             "VA-File",
             &sorted_scores(va.hits.iter().map(|h| h.score)),
@@ -78,7 +79,7 @@ fn all_methods_agree_on_corel_like_workload() {
         let truth_e_scores = sorted_scores(truth_e.hits.iter().map(|h| h.score));
         let ev = searcher.euclidean_ev(&query, k, &params).unwrap();
         assert_scores_match("Ev", &sorted_scores(ev.hits.iter().map(|h| h.score)), &truth_e_scores);
-        let va_e = vafile.search_euclidean(&matrix, &query, k);
+        let va_e = vafile.search_metric(&matrix, &SquaredEuclidean, &query, k).unwrap();
         assert_scores_match(
             "VA-File (euclid)",
             &sorted_scores(va_e.hits.iter().map(|h| h.score)),
