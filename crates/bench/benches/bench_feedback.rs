@@ -1,5 +1,5 @@
-//! Cold adaptive vs. warmed feedback planning on clustered data: batch
-//! latency, scanned rows and zone-map skips.
+//! Uniform vs. cold and warmed feedback planning on clustered data: batch
+//! latency, scanned work and zone-map segment skipping.
 //!
 //! ```text
 //! cargo bench -p bond-bench --bench bench_feedback
@@ -7,21 +7,28 @@
 //!
 //! Generates `datagen`'s clustered distribution in the cluster-major layout
 //! (the regime where a-priori moments mislead: contiguous row segments have
-//! divergent statistics), then compares two engines on the same evaluation
-//! batch: a cold `PlannerKind::Adaptive` engine (plans a-priori from
-//! `SegmentStats`) and a `PlannerKind::Feedback` engine warmed with 100
-//! queries first (plans from the accumulated per-segment prune traces).
-//! Reports per-planner batch latency, scanned work and skip counts, the
-//! feedback/adaptive work ratio, and two machine-readable `BENCH_JSON`
-//! lines for the perf trajectory: the timing summary, then each engine's
-//! full metrics-registry snapshot (`MetricsRegistry::render_json`).
+//! divergent statistics), then runs the same evaluation batch as three
+//! series:
+//!
+//! * `uniform` — a `PlannerKind::Uniform` engine (one global plan, no
+//!   segment skipping);
+//! * `feedback_cold` — the first batch of a fresh `PlannerKind::Feedback`
+//!   engine, whose segments are all cold and run their a-priori plans (each
+//!   timed rep builds a new engine, untimed, and times its first batch);
+//! * `feedback_warm` — a `PlannerKind::Feedback` engine warmed with 100
+//!   queries first, planning from the accumulated per-segment prune traces.
+//!
+//! Reports per-series batch latency, scanned work and skip counts, the
+//! warm/cold work ratio, and two machine-readable `BENCH_JSON` lines for the
+//! perf trajectory: the timing summary, then each engine's full
+//! metrics-registry snapshot (`MetricsRegistry::render_json`).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use bond_datagen::{sample_queries, ClusteredConfig};
-use bond_exec::{Engine, PlannerKind, RequestBatch, RuleKind};
+use bond_exec::{BatchOutcome, Engine, PlannerKind, RequestBatch, RuleKind};
 
 struct Series {
     planner: &'static str,
@@ -31,6 +38,39 @@ struct Series {
     segments_skipped: usize,
     /// The engine's full metrics-registry snapshot after the timed reps.
     metrics_json: String,
+}
+
+impl Series {
+    /// A series whose work counters come from `counted` and whose latency
+    /// is `elapsed_ms` averaged over `reps` batches of `queries` queries.
+    fn new(
+        planner: &'static str,
+        counted: &BatchOutcome,
+        elapsed_ms: f64,
+        reps: usize,
+        queries: usize,
+        engine: &Engine,
+    ) -> Series {
+        let batch_ms = elapsed_ms / reps as f64;
+        let series = Series {
+            planner,
+            batch_ms,
+            ms_per_query: batch_ms / queries as f64,
+            contributions: counted.queries.iter().map(|q| q.contributions_evaluated()).sum(),
+            segments_skipped: counted.queries.iter().map(|q| q.segments_skipped()).sum(),
+            metrics_json: engine.metrics().render_json(),
+        };
+        println!(
+            "  {:>13}: {:>8.2} ms/batch, {:>6.2} ms/query, {:>12} contributions, {:>3} segment \
+             searches skipped",
+            series.planner,
+            series.batch_ms,
+            series.ms_per_query,
+            series.contributions,
+            series.segments_skipped,
+        );
+        series
+    }
 }
 
 fn main() {
@@ -43,8 +83,9 @@ fn main() {
     let reps = 3;
 
     // Few clusters relative to the partition count: contiguous segments
-    // cover a handful of clusters each — exactly where observed prune
-    // behaviour outruns the a-priori moments.
+    // cover a handful of clusters each, their envelopes are narrow, and the
+    // zone-map check has something to skip — exactly where per-segment
+    // plans and observed prune behaviour outrun one global plan.
     let table = Arc::new(
         ClusteredConfig { clusters: 16, ..ClusteredConfig::small(rows, dims, 0.0) }
             .with_cluster_major(true)
@@ -68,62 +109,63 @@ fn main() {
             .build()
             .expect("valid engine configuration")
     };
-
-    let mut series: Vec<Series> = Vec::new();
-    for (name, planner) in
-        [("adaptive_cold", PlannerKind::Adaptive), ("feedback_warm", PlannerKind::Feedback)]
-    {
-        let engine = build(planner);
-        if planner == PlannerKind::Feedback {
-            // warm the feedback store on a disjoint query sample
-            let warming =
-                RequestBatch::from_queries(sample_queries(&table, warming_queries, 99), k);
-            engine.execute(&warming).expect("warming batch executes");
-            let snapshot = engine.feedback_snapshot();
-            println!(
-                "  warmed on {warming_queries} queries: {} searches folded, {} segment skips \
-                 observed",
-                snapshot.total_searches(),
-                snapshot.total_skips(),
-            );
-        }
-        // untimed pass collects the work counters (and, for the adaptive
-        // engine, mirrors the feedback engine's warm cache state)
-        let outcome = engine.execute(&eval).expect("batch executes");
-        let contributions: u64 = outcome.queries.iter().map(|q| q.contributions_evaluated()).sum();
-        let segments_skipped: usize = outcome.queries.iter().map(|q| q.segments_skipped()).sum();
-
+    let execute = |engine: &Engine| engine.execute(&eval).expect("batch executes");
+    // `reps` timed batches on one engine, in milliseconds
+    let time_reps = |engine: &Engine| {
         let timer = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(engine.execute(&eval).expect("batch executes"));
+            std::hint::black_box(execute(engine));
         }
-        let elapsed = timer.elapsed();
-        let batch_ms = elapsed.as_secs_f64() * 1000.0 / reps as f64;
-        let ms_per_query = batch_ms / eval.len() as f64;
-        println!(
-            "  {name:>13}: {batch_ms:>8.2} ms/batch, {ms_per_query:>6.2} ms/query, \
-             {contributions:>12} contributions, {segments_skipped:>3} segment searches skipped",
-        );
-        series.push(Series {
-            planner: name,
-            batch_ms,
-            ms_per_query,
-            contributions,
-            segments_skipped,
-            metrics_json: engine.metrics().render_json(),
-        });
-    }
+        timer.elapsed().as_secs_f64() * 1000.0
+    };
+    let mut series: Vec<Series> = Vec::new();
 
-    let adaptive = &series[0];
-    let feedback = &series[1];
-    let work_ratio = feedback.contributions as f64 / adaptive.contributions.max(1) as f64;
+    // Uniform: plans do not depend on feedback, so the first (untimed)
+    // pass counts the work of every later one.
+    let uniform = build(PlannerKind::Uniform);
+    let counted = execute(&uniform);
+    let elapsed = time_reps(&uniform);
+    series.push(Series::new("uniform", &counted, elapsed, reps, eval.len(), &uniform));
+
+    // Feedback, cold: the first batch of a fresh engine, every rep.
+    let mut cold = build(PlannerKind::Feedback);
+    let counted = execute(&cold);
+    let mut elapsed = 0.0;
+    for _ in 0..reps {
+        cold = build(PlannerKind::Feedback);
+        let timer = Instant::now();
+        std::hint::black_box(execute(&cold));
+        elapsed += timer.elapsed().as_secs_f64() * 1000.0;
+    }
+    series.push(Series::new("feedback_cold", &counted, elapsed, reps, eval.len(), &cold));
+
+    // Feedback, warm: fold a disjoint query sample into the store first.
+    let warm = build(PlannerKind::Feedback);
+    let warming = RequestBatch::from_queries(sample_queries(&table, warming_queries, 99), k);
+    warm.execute(&warming).expect("warming batch executes");
+    let snapshot = warm.feedback_snapshot();
     println!(
-        "  warmed feedback vs cold adaptive: {:.2}x latency, {:.2}x scanned work, \
+        "  warmed on {warming_queries} queries: {} searches folded, {} segment skips observed",
+        snapshot.total_searches(),
+        snapshot.total_skips(),
+    );
+    let counted = execute(&warm);
+    let elapsed = time_reps(&warm);
+    series.push(Series::new("feedback_warm", &counted, elapsed, reps, eval.len(), &warm));
+
+    let (uniform, cold, warm) = (&series[0], &series[1], &series[2]);
+    let work_ratio = warm.contributions as f64 / cold.contributions.max(1) as f64;
+    println!(
+        "  cold feedback vs uniform: {:.2}x latency, {:.2}x scanned work",
+        cold.batch_ms / uniform.batch_ms,
+        cold.contributions as f64 / uniform.contributions.max(1) as f64,
+    );
+    println!(
+        "  warmed vs cold feedback: {:.2}x latency, {work_ratio:.2}x scanned work, \
          {} vs {} segment searches skipped (of {})",
-        feedback.batch_ms / adaptive.batch_ms,
-        work_ratio,
-        feedback.segments_skipped,
-        adaptive.segments_skipped,
+        warm.batch_ms / cold.batch_ms,
+        warm.segments_skipped,
+        cold.segments_skipped,
         n_queries * partitions,
     );
 
@@ -153,8 +195,8 @@ fn main() {
     println!("BENCH_JSON {json}");
 
     // Second machine-readable line: each engine's metrics-registry
-    // snapshot, keyed by planner. The warmed feedback engine's snapshot
-    // carries non-zero `engine.segment.skipped` and
+    // snapshot, keyed by series. The feedback engines' snapshots carry
+    // non-zero `engine.segment.skipped`, the warmed one also
     // `planner.feedback.warm_segments`.
     let mut metrics = String::from("{\"bench\":\"feedback_planning_metrics\",\"registries\":{");
     for (i, s) in series.iter().enumerate() {

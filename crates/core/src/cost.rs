@@ -8,14 +8,13 @@
 //! [`SegmentFeedbackSnapshot`] and
 //! answers the two questions every layer asks:
 //!
-//! * **What plan should this segment run?** [`CostModel::plan`] is the
-//!   a-priori derivation (the former exec `AdaptivePlanner`, moved here
-//!   verbatim so adaptive planning stays bit-identical);
-//!   [`CostModel::plan_with_feedback`] re-ranks the dimension order toward
-//!   dimensions that *observably pruned* on past queries and shortens the
-//!   warmup toward the observed first-effective-prune depth. Cold segments
-//!   (fewer than [`CostModel::min_warm_searches`] folded searches, or no
-//!   prune signal yet) fall back to the a-priori plan exactly.
+//! * **What plan should this segment run?** [`CostModel::plan_with_feedback`]
+//!   starts from the a-priori keys of [`CostModel::apriori_keys`], re-ranks
+//!   the dimension order toward dimensions that *observably pruned* on past
+//!   queries and shortens the warmup toward the observed
+//!   first-effective-prune depth. Cold segments (fewer than
+//!   [`CostModel::min_warm_searches`] folded searches, or no prune signal
+//!   yet) get the a-priori plan exactly.
 //! * **How expensive is this segment for one query?**
 //!   [`CostModel::segment_cost`] estimates the expected number of
 //!   `(candidate, dimension)` cells a search will touch, discounted by the
@@ -96,22 +95,6 @@ impl CostModel {
                 w * key
             })
             .collect()
-    }
-
-    /// The a-priori plan for one segment: dimensions sorted by decreasing
-    /// key (deterministic tie-break on the dimension index), and a warmup
-    /// schedule sized so the first pruning attempt happens once half of the
-    /// total key mass has been scanned. This is exactly what the adaptive
-    /// planner has always produced.
-    pub fn plan(
-        &self,
-        stats: &SegmentStats,
-        query: &[f64],
-        weights: Option<&[f64]>,
-        objective: Objective,
-    ) -> SegmentPlan {
-        let keys = Self::apriori_keys(stats, query, weights, objective);
-        Self::plan_from_keys(&keys, None)
     }
 
     /// The feedback-driven plan for one segment: the a-priori keys are
@@ -284,48 +267,19 @@ impl CostModel {
         }
     }
 
-    /// Estimated cost (in exact-cell equivalents) of one search of this
-    /// segment when the quantized first-pass filter runs: the full
-    /// `rows × dims` code sweep at [`CostModel::QUANT_CELL_COST`] per cell,
-    /// plus the exact search of [`CostModel::segment_cost`] scaled by the
-    /// segment's *observed* filter selectivity (the fraction of swept rows
-    /// that survived into the exact phase, floored at `k / rows`). With no
+    /// Estimated cost of one search of this segment when the quantized
+    /// first-pass filter runs, as `(filter sweep, exact refine)` — both in
+    /// exact-cell equivalents, and their sum is the admission estimate.
+    /// The sweep covers all `rows × dims` code cells at
+    /// [`CostModel::quant_cell_cost`]`(kernel)` each (the engine passes the
+    /// kernel the process dispatched to). The refine phase is the exact
+    /// search of [`CostModel::segment_cost`] scaled by the segment's
+    /// *observed* filter selectivity (the fraction of swept rows that
+    /// survived into the exact phase, floored at `k / rows`). With no
     /// filtered search folded in yet, the exact phase is priced at full
     /// weight — the conservative prior; one filtered query is enough to
     /// start discounting.
     pub fn segment_cost_quantized(
-        &self,
-        stats: &SegmentStats,
-        feedback: Option<&SegmentFeedbackSnapshot>,
-        k: usize,
-        skipping: bool,
-    ) -> f64 {
-        let (filter, refine) = self.segment_cost_quantized_split(stats, feedback, k, skipping);
-        filter + refine
-    }
-
-    /// The two phases of [`CostModel::segment_cost_quantized`] separately:
-    /// `(filter sweep cost, exact refine cost)`, both in exact-cell
-    /// equivalents. EXPLAIN renders the phases side by side; their sum is
-    /// exactly the admission estimate.
-    pub fn segment_cost_quantized_split(
-        &self,
-        stats: &SegmentStats,
-        feedback: Option<&SegmentFeedbackSnapshot>,
-        k: usize,
-        skipping: bool,
-    ) -> (f64, f64) {
-        self.segment_cost_quantized_split_with_kernel(stats, feedback, k, skipping, Kernel::Scalar)
-    }
-
-    /// [`CostModel::segment_cost_quantized_split`] priced for a specific
-    /// scan kernel: the sweep phase uses
-    /// [`CostModel::quant_cell_cost`]`(kernel)` per code cell instead of the
-    /// scalar [`CostModel::QUANT_CELL_COST`]. The engine passes the kernel
-    /// the process actually dispatched to, so admission estimates track the
-    /// hardware the sweep runs on; with [`Kernel::Scalar`] this is the
-    /// kernel-blind estimate bit for bit.
-    pub fn segment_cost_quantized_split_with_kernel(
         &self,
         stats: &SegmentStats,
         feedback: Option<&SegmentFeedbackSnapshot>,
@@ -391,12 +345,32 @@ mod tests {
         }
     }
 
+    /// The a-priori plan for a minimize query: the keys alone, no observed
+    /// warmup — what a cold segment must be planned with.
+    fn apriori_plan(stats: &SegmentStats, q: &[f64]) -> SegmentPlan {
+        let keys = CostModel::apriori_keys(stats, q, None, Objective::Minimize);
+        CostModel::plan_from_keys(&keys, None)
+    }
+
+    /// The scalar-priced quantized estimate, both phases summed.
+    fn quantized_total(
+        model: &CostModel,
+        stats: &SegmentStats,
+        feedback: Option<&SegmentFeedbackSnapshot>,
+        k: usize,
+        skipping: bool,
+    ) -> f64 {
+        let (filter, refine) =
+            model.segment_cost_quantized(stats, feedback, k, skipping, Kernel::Scalar);
+        filter + refine
+    }
+
     #[test]
     fn cold_feedback_plans_equal_apriori_plans() {
         let stats = segment_stats(&[vec![0.5, 0.9, 0.0], vec![0.5, 0.85, 1.0]]);
         let q = [0.5, 0.1, 0.5];
         let model = CostModel::default();
-        let apriori = model.plan(&stats, &q, None, Objective::Minimize);
+        let apriori = apriori_plan(&stats, &q);
         // cold: too few searches
         let cold = SegmentFeedbackSnapshot {
             searches: model.min_warm_searches - 1,
@@ -427,7 +401,7 @@ mod tests {
             segment_stats(&[vec![0.5, 0.82, 0.74], vec![0.5, 0.8, 0.75], vec![0.5, 0.78, 0.76]]);
         let q = [0.5, 0.1, 0.1];
         let model = CostModel::default();
-        let apriori = model.plan(&stats, &q, None, Objective::Minimize);
+        let apriori = apriori_plan(&stats, &q);
         assert_eq!(apriori.order[0], 1, "a-priori: dim 1 narrowly ahead");
         let fb = warm_feedback(3, 2, 1000);
         let learned = model.plan_with_feedback(&stats, &fb, &q, None, Objective::Minimize);
@@ -440,7 +414,7 @@ mod tests {
         let stats = segment_stats(&vec![vec![0.25; 4]; 4]);
         let q = [0.9; 4];
         let model = CostModel::default();
-        let apriori = model.plan(&stats, &q, None, Objective::Minimize);
+        let apriori = apriori_plan(&stats, &q);
         let BlockSchedule::WarmupThenFixed { warmup: apriori_warmup, .. } = apriori.schedule else {
             panic!("warmup schedule expected");
         };
@@ -462,7 +436,7 @@ mod tests {
         // order wins, with many the learned order takes over
         let barely = warm_feedback(2, 1, model.min_warm_searches);
         let soaked = warm_feedback(2, 1, 100_000);
-        let apriori_first = model.plan(&stats, &q, None, Objective::Minimize).order[0];
+        let apriori_first = apriori_plan(&stats, &q).order[0];
         let soaked_first =
             model.plan_with_feedback(&stats, &soaked, &q, None, Objective::Minimize).order[0];
         assert_eq!(soaked_first, 1);
@@ -503,7 +477,7 @@ mod tests {
         let model = CostModel::default();
 
         // cold: conservative prior — full exact cost plus the code sweep
-        let cold = model.segment_cost_quantized(&stats, None, 10, true);
+        let cold = quantized_total(&model, &stats, None, 10, true);
         let exact_cold = model.segment_cost(&stats, None, 10, true);
         assert!(
             (cold - (100.0 * 4.0 * CostModel::QUANT_CELL_COST + exact_cold)).abs() < 1e-9,
@@ -515,7 +489,7 @@ mod tests {
         fb.filter_rows = 4000;
         fb.refine_rows = 200;
         assert_eq!(fb.filter_selectivity(), Some(0.05));
-        let observed = model.segment_cost_quantized(&stats, Some(&fb), 1, false);
+        let observed = quantized_total(&model, &stats, Some(&fb), 1, false);
         let exact_warm = model.segment_cost(&stats, Some(&fb), 1, false);
         let expected = 100.0 * 4.0 * CostModel::QUANT_CELL_COST + 0.05 * exact_warm;
         assert!((observed - expected).abs() < 1e-9, "got {observed}, expected {expected}");
@@ -523,14 +497,14 @@ mod tests {
 
         // selectivity is floored at k / rows: asking for every row cancels
         // the discount entirely
-        let all = model.segment_cost_quantized(&stats, Some(&fb), 100, false);
+        let all = quantized_total(&model, &stats, Some(&fb), 100, false);
         let exact_all = model.segment_cost(&stats, Some(&fb), 100, false);
         assert!((all - (100.0 * 4.0 * CostModel::QUANT_CELL_COST + exact_all)).abs() < 1e-9);
 
         // degenerate segments still cost nothing
         let empty = segment_stats(&[vec![0.0, 0.0]]);
         let empty = SegmentStats { live_rows: 0, ..empty };
-        assert_eq!(model.segment_cost_quantized(&empty, None, 1, true), 0.0);
+        assert_eq!(quantized_total(&model, &empty, None, 1, true), 0.0);
     }
 
     #[test]
@@ -541,16 +515,12 @@ mod tests {
             assert!(c < CostModel::QUANT_CELL_COST, "{simd:?} must be cheaper than scalar");
             assert!(c > 0.0);
         }
-        // the kernel-blind split is the scalar-priced split, bit for bit
         let stats = segment_stats(&vec![vec![0.1, 0.2, 0.3, 0.4]; 100]);
         let model = CostModel::default();
-        let blind = model.segment_cost_quantized_split(&stats, None, 10, true);
-        let scalar =
-            model.segment_cost_quantized_split_with_kernel(&stats, None, 10, true, Kernel::Scalar);
-        assert_eq!(blind, scalar);
+        let scalar = model.segment_cost_quantized(&stats, None, 10, true, Kernel::Scalar);
+        assert_eq!(scalar.0, 100.0 * 4.0 * CostModel::QUANT_CELL_COST);
         // a SIMD kernel discounts the sweep phase only
-        let simd =
-            model.segment_cost_quantized_split_with_kernel(&stats, None, 10, true, Kernel::Avx2);
+        let simd = model.segment_cost_quantized(&stats, None, 10, true, Kernel::Avx2);
         assert!(simd.0 < scalar.0, "sweep phase gets cheaper under SIMD");
         assert_eq!(simd.1, scalar.1, "refine phase is exact work either way");
     }

@@ -599,7 +599,7 @@ impl QueryOutcome {
     }
 
     /// Number of segments the engine skipped outright via their zone-map
-    /// envelope bound (adaptive planning only; skipped segments report zero
+    /// envelope bound (feedback planning only; skipped segments report zero
     /// contributions and zero dimensions accessed).
     pub fn segments_skipped(&self) -> usize {
         self.segments.iter().filter(|s| s.trace.segment_skipped).count()
@@ -637,11 +637,11 @@ mod tests {
 
         let spec = QuerySpec::new(vec![0.5, 0.5], 3)
             .rule(RuleKind::EuclideanEq)
-            .planner(PlannerKind::Adaptive)
+            .planner(PlannerKind::Feedback)
             .priority(Priority::Batch)
             .filter(Bitmap::from_rows(4, &[0, 2]));
         assert_eq!(spec.rule_override(), Some(&RuleKind::EuclideanEq));
-        assert_eq!(spec.planner_override(), Some(PlannerKind::Adaptive));
+        assert_eq!(spec.planner_override(), Some(PlannerKind::Feedback));
         assert_eq!(spec.priority_override(), Some(Priority::Batch));
         assert_eq!(spec.filter_override().unwrap().count(), 2);
         // sharing a pushed-down predicate across specs clones no bitmap

@@ -25,22 +25,21 @@
 //!   scores in the same dimension order the sequential searcher uses, and
 //!   the merged top-k is bit-identical to a sequential [`BondSearcher`]
 //!   search over the whole table.
-//! * [`PlannerKind::Adaptive`] derives each segment's plan from its cached
-//!   [`SegmentStats`] and additionally skips whole segments whose zone-map
-//!   envelope bound provably cannot reach the current κ — without touching
-//!   any of the segment's columns. Per-segment refinement orders then
+//! * [`PlannerKind::Feedback`] derives each segment's plan from its cached
+//!   [`SegmentStats`] and the engine's [`ExecFeedback`] store — lock-free
+//!   per-segment accumulators into which *every* executed search folds its
+//!   pruning trace (and every zone-map skip and merge miss is counted).
+//!   A cold segment gets the a-priori plan; a warm one has its scan order
+//!   re-ranked toward dimensions that observably pruned and its warmup
+//!   shrunk toward the observed first-effective-prune depth. Segments are
+//!   visited most-promising-first, and whole segments whose zone-map
+//!   envelope bound provably cannot reach the current κ are skipped
+//!   without touching any of their columns. Per-segment refinement orders
 //!   differ, so the merge re-verifies exact scores (fixed, natural
 //!   summation order) and breaks ties deterministically on the row id:
-//!   rank-correct rather than bit-identical.
-//! * [`PlannerKind::Feedback`] additionally consults the engine's
-//!   [`ExecFeedback`] store — lock-free per-segment accumulators into
-//!   which *every* executed search folds its pruning trace (and every
-//!   zone-map skip and merge miss is counted) — re-ranking each segment's
-//!   scan order toward dimensions that observably pruned and shrinking
-//!   warmups toward observed first-effective-prune depths. Cold segments
-//!   plan exactly like `Adaptive`; the same merge keeps answers
-//!   rank-correct. [`Engine::persist`] writes the learned state alongside
-//!   the store footer, so a reopened engine starts warm.
+//!   rank-correct rather than bit-identical. [`Engine::persist`] writes the
+//!   learned state alongside the store footer, so a reopened engine starts
+//!   warm.
 
 use crate::batch::{
     BatchOutcome, MultiFeatureSpec, QueryKind, QueryOutcome, QuerySpec, RequestBatch, ScanMode,
@@ -63,7 +62,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use vdstore::persist::{open_store, save_store_with_codes, validate_store_inputs, PersistedStore};
+use vdstore::persist::{open_store, save_store, validate_store_inputs, PersistedStore};
 use vdstore::topk::Scored;
 use vdstore::{
     Advice, Bitmap, DecomposedTable, Envelope, Segment, SegmentSpec, SegmentStats, StorageBackend,
@@ -195,7 +194,6 @@ pub struct EngineBuilder {
     threads: usize,
     params: BondParams,
     rule: RuleKind,
-    share_kappa: bool,
     planner: PlannerKind,
     scan: ScanMode,
     /// Partition boundaries + statistics preloaded from a persisted store's
@@ -231,7 +229,7 @@ impl EngineBuilder {
     ///
     /// The builder's partition boundaries, per-segment statistics and
     /// zone-map envelopes come straight from the store's footer, so the
-    /// engine [`EngineBuilder::build`] returns can plan adaptively and skip
+    /// engine [`EngineBuilder::build`] returns can plan per segment and skip
     /// whole segments *before a single column data page has been read* —
     /// under [`StorageBackend::Mapped`] the fragments fault in lazily as
     /// searches touch them. The result is bit-identical to an engine built
@@ -297,10 +295,10 @@ impl EngineBuilder {
     /// ordering — the same rewrite the sequential weighted entry points
     /// apply (and what keeps [`Engine::sequential_reference`] comparable);
     /// pass an explicit permutation to pin a specific order. Note that
-    /// under [`PlannerKind::Adaptive`] the ordering and schedule come from
-    /// each segment's statistics instead — the params' ordering/schedule
-    /// (explicit or not) only govern the `Uniform` planner and the
-    /// sequential reference.
+    /// under [`PlannerKind::Feedback`] the ordering and schedule come from
+    /// each segment's statistics and feedback instead — the params'
+    /// ordering/schedule (explicit or not) only govern the `Uniform`
+    /// planner and the sequential reference.
     #[must_use]
     pub fn params(mut self, params: BondParams) -> Self {
         self.params = params;
@@ -318,23 +316,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Whether segments of one query share their pruning bound κ through an
-    /// atomic cell (default `true`). Disabling isolates the segments — same
-    /// answers, strictly less pruning (and no adaptive segment skipping,
-    /// which consumes the shared κ); useful for measuring the κ-sharing
-    /// benefit.
-    #[must_use]
-    pub fn share_kappa(mut self, share: bool) -> Self {
-        self.share_kappa = share;
-        self
-    }
-
     /// How segment plans are chosen by default (default
     /// [`PlannerKind::Uniform`]) — a [`QuerySpec::planner`] override
-    /// replaces it per query. [`PlannerKind::Adaptive`] picks each
-    /// segment's dimension order and block schedule from its statistics —
-    /// overriding the params' ordering/schedule — and enables κ-aware
-    /// whole-segment skipping.
+    /// replaces it per query. [`PlannerKind::Feedback`] picks each
+    /// segment's dimension order and block schedule from its statistics
+    /// and feedback — overriding the params' ordering/schedule — and
+    /// enables most-promising-first visits and κ-aware whole-segment
+    /// skipping.
     #[must_use]
     pub fn planner(mut self, planner: PlannerKind) -> Self {
         self.planner = planner;
@@ -462,7 +450,6 @@ impl EngineBuilder {
                 threads: self.threads,
                 params,
                 rule: self.rule,
-                share_kappa: self.share_kappa,
                 planner: self.planner,
                 scan: self.scan,
                 cost: CostModel::default(),
@@ -484,7 +471,7 @@ struct EngineInner {
     /// materialised from these per call.
     specs: Vec<SegmentSpec>,
     /// Per-segment statistics, computed once at build; the input of the
-    /// adaptive planner and the zone-map skip checks.
+    /// feedback planner and the zone-map skip checks.
     stats: Vec<SegmentStats>,
     /// Per-segment zone maps derived from `stats`, cached so batches do not
     /// re-derive them on every [`Engine::execute`] call.
@@ -492,11 +479,10 @@ struct EngineInner {
     threads: usize,
     params: BondParams,
     rule: RuleKind,
-    share_kappa: bool,
     planner: PlannerKind,
     scan: ScanMode,
-    /// The shared cost model: plan derivation for the stats-driven
-    /// planners and per-segment cost estimates for admission control.
+    /// The shared cost model: plan derivation for the feedback planner and
+    /// per-segment cost estimates for admission control.
     cost: CostModel,
     /// The engine's feedback store: every query's pruning trace, zone-map
     /// skip and merge miss folds into these lock-free per-segment
@@ -551,19 +537,48 @@ struct ResolvedQuery<'b> {
     /// spec pushed one down; workers slice it per segment.
     filter: Option<&'b Bitmap>,
     uniform_plan: Option<SegmentPlan>,
-    /// `T(q)` for the total-mass skip bound (adaptive planning only).
+    /// `T(q)` for the total-mass skip bound (feedback planning only).
     query_sum: f64,
     /// The cost model's pre-execution work estimate for this request —
     /// compared against the executed work at merge time to feed the
     /// `planner.cost.abs_rel_error` calibration histogram.
     estimate: f64,
-    kappa: Option<SharedKappa>,
+    /// The query's pruning bound κ, shared by all of its segments.
+    kappa: SharedKappa,
     /// The segment *visit order* for this query (feedback planning only):
     /// position `p` executes segment `visit_order[p]`. Visiting the most
     /// promising segment first tightens κ immediately, so every later
     /// segment faces the sharpest possible skip bound. `None` visits in
     /// row order.
     visit_order: Option<Vec<usize>>,
+}
+
+/// Runs `task` once for every index in `0..n_tasks` on up to `threads`
+/// scoped workers, each claiming the next unclaimed index from a shared
+/// counter until none is left. One worker (or one task) runs inline
+/// without spawning.
+fn run_pool(threads: usize, n_tasks: usize, task: impl Fn(usize) + Sync) {
+    let workers = threads.min(n_tasks);
+    if workers <= 1 {
+        (0..n_tasks).for_each(task);
+        return;
+    }
+    let next_task = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                // ordering: relaxed — the atomic RMW alone makes each task
+                // index unique; task *data* is published to the workers by
+                // `thread::scope`'s spawn (happens-before the closure runs),
+                // not through this counter.
+                let i = next_task.fetch_add(1, Ordering::Relaxed);
+                if i >= n_tasks {
+                    break;
+                }
+                task(i);
+            });
+        }
+    });
 }
 
 /// What one `(query, segment)` task leaves in its slot: the search outcome
@@ -593,7 +608,6 @@ impl Engine {
             threads: parallelism,
             params: BondParams::default(),
             rule: RuleKind::HistogramHq,
-            share_kappa: true,
             planner: PlannerKind::Uniform,
             scan: ScanMode::Exact,
             preloaded: None,
@@ -629,7 +643,7 @@ impl Engine {
         // are uniformly 8 bits (the pre-adaptive bytes, identically); a
         // warmed engine's mixed widths round-trip via the footer sentinel.
         let codes = self.ensure_adaptive_codes().ok();
-        let report = save_store_with_codes(
+        let report = save_store(
             &self.inner.table,
             &self.inner.specs,
             &self.inner.stats,
@@ -793,7 +807,7 @@ impl Engine {
     }
 
     /// Per-dimension statistics of every segment — the per-partition view
-    /// of the collection's distribution and the input of the adaptive
+    /// of the collection's distribution and the input of the feedback
     /// planner. Computed once at build time and cached; calls are free.
     pub fn segment_stats(&self) -> &[SegmentStats] {
         &self.inner.stats
@@ -820,11 +834,10 @@ impl Engine {
 
     /// Estimated `(candidate, dimension)` evaluations this request will
     /// cost across all segments — the cost model's per-spec estimate the
-    /// service layer uses for cheap-first batch ordering and deadline-aware
-    /// batch cuts. Cold segments use the conservative full-work prior;
-    /// warm segments discount by their observed skip rate, warmup depth and
-    /// survivor fraction (stats-driven planners only — uniform planning
-    /// never skips).
+    /// service layer uses for cheap-first batch ordering. Cold segments use
+    /// the conservative full-work prior; warm segments discount by their
+    /// observed skip rate (feedback planning only — uniform planning never
+    /// skips), warmup depth and survivor fraction.
     pub fn estimate_cost(&self, spec: &QuerySpec) -> f64 {
         // Predicate filters discount every segment's estimate by its own
         // eligible fraction (floored at k/live — the scan must still find k
@@ -845,8 +858,7 @@ impl Engine {
         }
         let planner = spec.planner_override().unwrap_or(self.inner.planner);
         let scan = spec.scan_mode_override().unwrap_or(self.inner.scan);
-        let skipping =
-            planner.is_stats_driven() && self.inner.share_kappa && !scan.is_approximate();
+        let skipping = planner.is_stats_driven() && !scan.is_approximate();
         (0..self.inner.stats.len())
             .map(|si| {
                 // scalar_snapshot: the cost formula reads only the scalar
@@ -887,7 +899,7 @@ impl Engine {
         match scan {
             ScanMode::Exact => (inner.cost.segment_cost(stats, snapshot, k, skipping), None, None),
             ScanMode::QuantizedFilter => {
-                let (filter, refine) = inner.cost.segment_cost_quantized_split_with_kernel(
+                let (filter, refine) = inner.cost.segment_cost_quantized(
                     stats,
                     snapshot,
                     k,
@@ -974,9 +986,6 @@ impl Engine {
             PlannerKind::Uniform => {
                 let params = self.params_for(rule);
                 SegmentPlan::uniform(&params, query, rule.weights(), inner.table.dims())
-            }
-            PlannerKind::Adaptive => {
-                inner.cost.plan(&inner.stats[si], query, rule.weights(), rule.objective())
             }
             PlannerKind::Feedback => {
                 let owned;
@@ -1154,7 +1163,7 @@ impl Engine {
     /// planner, segment plans, κ cells) is done once, and each query's
     /// per-segment answers are merged into its own top-`k`. Specs may mix
     /// `k`s, rules and planners freely — heterogeneity costs nothing
-    /// beyond the per-query setup it always required. Under adaptive
+    /// beyond the per-query setup it always required. Under feedback
     /// planning, segments whose zone-map bound cannot reach the query's
     /// current κ are skipped entirely (their [`SegmentRun::trace`] reports
     /// `segment_skipped`).
@@ -1250,7 +1259,7 @@ impl Engine {
         // The combined similarity is maximized regardless of the component
         // metrics (Euclidean components are flipped onto the similarity
         // scale before aggregation), so one Maximize cell serves any mix.
-        let kappa = inner.share_kappa.then(|| SharedKappa::new(Objective::Maximize));
+        let kappa = SharedKappa::new(Objective::Maximize);
         let segments: Vec<Segment<'_>> = inner
             .specs
             .iter()
@@ -1286,7 +1295,7 @@ impl Engine {
             }
             let scan_span = Span::begin(names::SPAN_ENGINE_SCAN).detail(si as u64);
             let ctx = MultiFeatureContext {
-                kappa: kappa.as_ref().map(|cell| cell as &dyn KappaCell),
+                kappa: Some(&kappa as &dyn KappaCell),
                 total_mass: Some(&total_mass),
                 filter: Some(&local),
             };
@@ -1302,30 +1311,7 @@ impl Engine {
             inner.metrics.multifeature_searches.inc();
             slots[si].set(result).expect("each segment is claimed exactly once");
         };
-        let workers = inner.threads.min(n_segments);
-        if workers <= 1 {
-            for si in 0..n_segments {
-                run_task(si);
-            }
-        } else {
-            let next_task = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        // ordering: relaxed — the atomic RMW alone makes each
-                        // segment index unique; segment *data* is published
-                        // to the workers by `thread::scope`'s spawn
-                        // (happens-before the closure runs), not through
-                        // this counter.
-                        let si = next_task.fetch_add(1, Ordering::Relaxed);
-                        if si >= n_segments {
-                            break;
-                        }
-                        run_task(si);
-                    });
-                }
-            });
-        }
+        run_pool(inner.threads, n_segments, run_task);
         let outcomes: Vec<MultiFeatureOutcome> = slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("all segments completed"))
@@ -1376,10 +1362,10 @@ impl Engine {
         let mapped = inner.table.backend() == StorageBackend::Mapped;
 
         // Per-query setup, done once and shared by every segment worker:
-        // the effective rule/planner, the metric, the uniform plan and
-        // (optionally) the κ cell. (Adaptive plans are per-(query, segment)
-        // values derived inside the task itself — on the worker pool, and
-        // only for segments the zone-map check does not skip.)
+        // the effective rule/planner, the metric, the uniform plan and the
+        // κ cell. (Feedback plans are per-(query, segment) values derived
+        // inside the task itself — on the worker pool, and only for
+        // segments the zone-map check does not skip.)
         let resolved: Vec<ResolvedQuery<'_>> = batch
             .specs()
             .iter()
@@ -1407,7 +1393,7 @@ impl Engine {
                 });
                 let query_sum =
                     if planner.is_stats_driven() { spec.vector().iter().sum() } else { 0.0 };
-                let kappa = inner.share_kappa.then(|| SharedKappa::new(objective));
+                let kappa = SharedKappa::new(objective);
                 // Feedback planning also schedules with the cost model:
                 // segments are visited most-promising-first (tightest
                 // optimistic envelope score toward the query), so the
@@ -1416,7 +1402,8 @@ impl Engine {
                 // at their first attempt instead of warming up against an
                 // empty bound. Any visit order is rank-correct; this one
                 // just minimises wasted scans.
-                let visit_order = (planner.uses_feedback() && inner.share_kappa)
+                let visit_order = planner
+                    .is_stats_driven()
                     .then(|| self.plan_visit_order(metric.as_ref(), objective, spec.vector()));
                 let estimate = self.estimate_cost(spec);
                 Ok(ResolvedQuery {
@@ -1451,7 +1438,7 @@ impl Engine {
         // vector once per (query × segment) task on the worker hot path.
         let feedback_snapshots: Option<Vec<SegmentFeedbackSnapshot>> = resolved
             .iter()
-            .any(|rq| rq.planner.uses_feedback())
+            .any(|rq| rq.planner.is_stats_driven())
             .then(|| (0..n_segments).map(|si| inner.feedback.segment(si).snapshot()).collect());
         if let Some(snapshots) = &feedback_snapshots {
             let warm = snapshots.iter().filter(|s| s.is_warm(inner.cost.min_warm_searches)).count();
@@ -1475,7 +1462,7 @@ impl Engine {
             let segment = &segments[si];
             let query = rq.spec.vector();
             let k = rq.spec.k();
-            let cell = rq.kappa.as_ref();
+            let cell = &rq.kappa;
 
             // Predicate filter: this segment's window of the query's
             // eligibility bitmap. A window that leaves no live row eligible
@@ -1599,7 +1586,7 @@ impl Engine {
                 None => None,
             };
             let ctx = SegmentContext {
-                kappa: cell.map(|cell| cell as &dyn KappaCell),
+                kappa: Some(cell as &dyn KappaCell),
                 row_sums: row_sums.map(|sums| &sums[segment.range()]),
                 plan: Some(&plan),
                 codes: codes_view,
@@ -1624,10 +1611,8 @@ impl Engine {
                     // The segment's k-th best *exact* score is a valid κ (k
                     // witnesses reach it); publishing it arms the zone-map
                     // skip for segments that have not started yet.
-                    if let Some(cell) = cell {
-                        if outcome.hits.len() >= k {
-                            cell.tighten(outcome.hits[k - 1].score);
-                        }
+                    if outcome.hits.len() >= k {
+                        cell.tighten(outcome.hits[k - 1].score);
                     }
                 }
                 // Fold the executed plan's trace into the feedback store —
@@ -1654,29 +1639,7 @@ impl Engine {
                 .expect("each task is claimed exactly once");
         };
 
-        let workers = inner.threads.min(n_tasks);
-        if workers <= 1 {
-            for task in 0..n_tasks {
-                run_task(task);
-            }
-        } else {
-            let next_task = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        // ordering: relaxed — the atomic RMW alone makes each
-                        // task index unique; task *data* is published to the
-                        // workers by `thread::scope`'s spawn (happens-before
-                        // the closure runs), not through this counter.
-                        let task = next_task.fetch_add(1, Ordering::Relaxed);
-                        if task >= n_tasks {
-                            break;
-                        }
-                        run_task(task);
-                    });
-                }
-            });
-        }
+        run_pool(inner.threads, n_tasks, run_task);
 
         // Surface any task error *before* touching the advice state, so a
         // failed batch cannot leave the table stuck under MADV_RANDOM.
@@ -1785,7 +1748,7 @@ impl Engine {
     /// envelope. The same ε-slack as candidate pruning keeps boundary ties
     /// safe.
     fn try_skip_segment(&self, si: usize, rq: &ResolvedQuery<'_>) -> Option<SearchOutcome> {
-        let kappa = rq.kappa.as_ref()?.get()?;
+        let kappa = rq.kappa.get()?;
         let optimistic = self.optimistic_bound(
             si,
             rq.metric.as_ref(),
@@ -1836,19 +1799,13 @@ impl Engine {
         Some(optimistic)
     }
 
-    /// Whether segments of one query share their κ bound (and thus whether
-    /// stats-driven planning can skip whole segments).
-    pub(crate) fn kappa_shared(&self) -> bool {
-        self.inner.share_kappa
-    }
-
     /// Merges per-segment outcomes (global row ids) into the query's global
     /// top-k.
     ///
     /// Under uniform planning every segment refined in the same dimension
     /// order, so scores are directly comparable and the k best under the
     /// total `(score, row)` order match the sequential searcher bit for
-    /// bit. Under adaptive planning the refinement orders differ per
+    /// bit. Under feedback planning the refinement orders differ per
     /// segment, so every candidate hit's exact score is re-verified in one
     /// fixed (natural) summation order before ranking — that, plus the
     /// deterministic `RowId` tie-break, makes the merge rank-correct

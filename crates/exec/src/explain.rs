@@ -5,7 +5,7 @@
 //! derived [`SegmentPlan`] (dimension order and warmup schedule), where in
 //! the visit order the segment runs, its zone-map envelope bound toward
 //! the query, the cost model's cell estimate and the plan's *provenance*
-//! (uniform params, a-priori statistics, or cold/warm feedback).
+//! (uniform params, or feedback planning on a cold or warm segment).
 //!
 //! [`QueryOutcome::analyze`] answers *"what did the engine actually do?"*
 //! by joining the rendered plan against the executed [`bond::PruneTrace`]s:
@@ -29,12 +29,9 @@ use std::ops::Range;
 pub enum PlanProvenance {
     /// The engine's uniform params — every segment shares one plan.
     Uniform,
-    /// Derived from the segment's a-priori statistics (adaptive planning,
-    /// or feedback planning before any signal accumulated uses the same
-    /// derivation — see [`PlanProvenance::FeedbackCold`]).
-    Apriori,
     /// Feedback planning on a *cold* segment: too few folded searches, so
-    /// the plan equals the a-priori plan bit for bit.
+    /// the plan is the a-priori plan derived from the segment's statistics
+    /// alone.
     FeedbackCold,
     /// Feedback planning on a *warm* segment: the dimension order is
     /// re-ranked by observed prune credit and the warmup shrinks toward
@@ -43,12 +40,11 @@ pub enum PlanProvenance {
 }
 
 impl PlanProvenance {
-    /// A short lowercase label (`"uniform"`, `"apriori"`,
-    /// `"feedback-cold"`, `"feedback-warm"`).
+    /// A short lowercase label (`"uniform"`, `"feedback-cold"`,
+    /// `"feedback-warm"`).
     pub fn label(self) -> &'static str {
         match self {
             PlanProvenance::Uniform => "uniform",
-            PlanProvenance::Apriori => "apriori",
             PlanProvenance::FeedbackCold => "feedback-cold",
             PlanProvenance::FeedbackWarm => "feedback-warm",
         }
@@ -135,7 +131,7 @@ pub struct QueryExplain {
     /// The table dimensionality.
     pub dims: usize,
     /// Whether κ-aware whole-segment skipping is armed for this request
-    /// (stats-driven planner and shared κ).
+    /// (feedback planning on an exact or quantized-filter scan).
     pub skipping: bool,
     /// The scan-kernel flavour this process dispatches hot loops to
     /// (`"scalar"`, `"avx2"`, `"neon"`) — process-wide, shown once.
@@ -386,8 +382,8 @@ impl Engine {
     /// without executing it: per segment, the derived [`SegmentPlan`]
     /// (dimension order, warmup schedule), the visit-order position, the
     /// zone-map envelope bound toward the query, the cost model's cell
-    /// estimate and the plan's provenance (uniform / a-priori /
-    /// feedback-cold / feedback-warm).
+    /// estimate and the plan's provenance (uniform / feedback-cold /
+    /// feedback-warm).
     ///
     /// EXPLAIN and [`Engine::execute`] share the same plan-derivation code
     /// path, so — unless feedback advances between the two calls — the
@@ -414,8 +410,8 @@ impl Engine {
         let objective = rule.objective();
         let query = spec.vector();
         let query_sum: f64 = query.iter().sum();
-        let skipping = planner.is_stats_driven() && self.kappa_shared() && !scan.is_approximate();
-        let visit_order = if planner.uses_feedback() && self.kappa_shared() {
+        let skipping = planner.is_stats_driven() && !scan.is_approximate();
+        let visit_order = if planner.is_stats_driven() {
             self.plan_visit_order(metric.as_ref(), objective, query)
         } else {
             (0..self.partitions()).collect()
@@ -441,7 +437,6 @@ impl Engine {
                 let plan = self.derive_segment_plan(si, planner, rule, query, Some(snapshot));
                 let provenance = match planner {
                     PlannerKind::Uniform => PlanProvenance::Uniform,
-                    PlannerKind::Adaptive => PlanProvenance::Apriori,
                     PlannerKind::Feedback => {
                         if snapshot.is_warm(min_warm) {
                             PlanProvenance::FeedbackWarm
@@ -668,7 +663,7 @@ mod tests {
         let engine = Engine::builder(table(300, 8))
             .partitions(3)
             .threads(1)
-            .planner(PlannerKind::Adaptive)
+            .planner(PlannerKind::Feedback)
             .build()
             .unwrap();
         let spec = QuerySpec::new(engine.table().row(42).unwrap(), 5);

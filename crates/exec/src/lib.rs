@@ -34,34 +34,31 @@
 //!   the *same* dimension order the sequential searcher uses; since the k
 //!   best rows under the total `(score, row id)` order are unique, the
 //!   merged answer is bit-identical to [`bond::BondSearcher`]'s.
-//! * **Per-segment adaptive plans** — under [`PlannerKind::Adaptive`]
+//! * **Per-segment feedback-driven plans** — the engine owns a lock-free
+//!   [`bond::ExecFeedback`] store into which every query's pruning trace,
+//!   zone-map skip and merge miss folds. Under [`PlannerKind::Feedback`]
 //!   (engine-wide or per query) every segment gets its own
-//!   [`bond::SegmentPlan`] (dimension order + block schedule) derived from
-//!   its cached statistics, and segments whose zone-map envelope bound
+//!   [`bond::SegmentPlan`] (dimension order + block schedule) from the
+//!   shared [`bond::CostModel`]: a-priori from its cached statistics while
+//!   the segment is cold, then re-ranked toward dimensions that
+//!   *observably pruned*, with warmups shrunk toward observed
+//!   first-effective-prune depths. Segments are visited
+//!   most-promising-first, and segments whose zone-map envelope bound
 //!   provably cannot reach the query's current κ are skipped without
 //!   touching their columns. The merge then re-verifies exact scores and
 //!   tie-breaks on row ids: rank-correct answers — the sequential
 //!   reference's k-NN set and ranks, up to ties between distinct rows
 //!   whose exact scores differ by less than floating-point summation
-//!   drift.
-//! * **Feedback-driven planning** — the engine owns a lock-free
-//!   [`bond::ExecFeedback`] store into which every query's pruning trace,
-//!   zone-map skip and merge miss folds; [`PlannerKind::Feedback`] plans
-//!   from the shared [`bond::CostModel`], re-ranking each segment's scan
-//!   order toward dimensions that *observably pruned* and shrinking
-//!   warmups toward observed first-effective-prune depths (cold segments
-//!   plan exactly like `Adaptive`). [`Engine::feedback_snapshot`] exposes
-//!   the learned state; [`Engine::persist`] writes it alongside the store
-//!   footer so a reopened engine starts warm; and
-//!   [`Engine::estimate_cost`] turns the same signals into per-request
-//!   cost estimates.
+//!   drift. [`Engine::feedback_snapshot`] exposes the learned state;
+//!   [`Engine::persist`] writes it alongside the store footer so a
+//!   reopened engine starts warm; and [`Engine::estimate_cost`] turns the
+//!   same signals into per-request cost estimates.
 //! * **Cost-aware admission control** — [`service::Server`] prices every
 //!   accepted [`QuerySpec`] with the cost model, queues it under its
-//!   [`Priority`] class, drains Interactive → Normal → Batch with the
-//!   cheapest estimate first, and cuts each coalesced batch once the
-//!   summed estimates exceed the configured budget
-//!   ([`service::ServerBuilder::max_cost`]). Rejected submissions are
-//!   counted ([`service::Server::queries_rejected`]).
+//!   [`Priority`] class and drains Interactive → Normal → Batch with the
+//!   cheapest estimate first, up to [`service::ServerBuilder::max_batch`]
+//!   requests per pass. Rejected submissions are counted
+//!   ([`service::Server::queries_rejected`]).
 //! * **Weighted rules** — [`RuleKind::WeightedHistogram`] /
 //!   [`RuleKind::WeightedEuclidean`] carry per-dimension weights through
 //!   the same engine: weighted orderings, the safe weighted bounds, and
@@ -73,7 +70,7 @@
 //!   validated engine whose `SegmentSpec`s, statistics and zone-map
 //!   envelopes come straight from the store's footer. Under
 //!   [`vdstore::StorageBackend::Mapped`] the column fragments are *viewed*
-//!   through a read-only file mapping: adaptive planning and whole-segment
+//!   through a read-only file mapping: feedback planning and whole-segment
 //!   skipping work before a single data page is faulted in, and collections
 //!   larger than RAM stay servable.
 //! * **Quantized first-pass scanning** — [`ScanMode::QuantizedFilter`]
@@ -149,7 +146,7 @@
 //! let batch = RequestBatch::from_specs(vec![
 //!     QuerySpec::new(vec![0.1, 0.9], 5),
 //!     QuerySpec::new(vec![0.9, 0.1], 1).rule(RuleKind::HistogramHq),
-//!     QuerySpec::new(vec![0.5, 0.5], 2).planner(PlannerKind::Adaptive),
+//!     QuerySpec::new(vec![0.5, 0.5], 2).planner(PlannerKind::Feedback),
 //! ]);
 //! let answers = engine.execute(&batch).unwrap();
 //! assert_eq!(answers.queries.len(), 3);
@@ -177,7 +174,7 @@ pub use bond_obs::MetricsRegistry;
 pub use engine::{Engine, EngineBuilder};
 pub use explain::{PlanProvenance, QueryAnalysis, QueryExplain, SegmentAnalysis, SegmentExplain};
 pub use kappa::SharedKappa;
-pub use planner::{AdaptivePlanner, PlannerKind};
+pub use planner::PlannerKind;
 pub use relational::{KnnProgram, RelationalRun, SelectStep};
 pub use rules::RuleKind;
 pub use service::{Server, ServerBuilder, Ticket};
@@ -269,7 +266,7 @@ mod tests {
             QuerySpec::new(engine.table().row(42).unwrap(), 9).rule(RuleKind::EuclideanEv),
             QuerySpec::new(engine.table().row(99).unwrap(), 4)
                 .rule(RuleKind::EuclideanEq)
-                .planner(PlannerKind::Adaptive),
+                .planner(PlannerKind::Feedback),
             QuerySpec::new(engine.table().row(7).unwrap(), 17).rule(
                 RuleKind::weighted_euclidean(vec![1.0, 2.0, 0.0, 1.0, 4.0, 1.0, 1.0, 0.5]).unwrap(),
             ),
@@ -362,34 +359,6 @@ mod tests {
         let outcome = engine.search(&q, 5).unwrap();
         assert_eq!(outcome.hits.len(), 5);
         assert_eq!(outcome.hits[0].row, 2);
-    }
-
-    #[test]
-    fn kappa_sharing_reduces_work_without_changing_answers() {
-        let table = table(2000, 24);
-        let query = table.row(7).unwrap();
-        let shared = Engine::builder(table.clone())
-            .partitions(4)
-            .threads(1) // deterministic interleaving for a fair work count
-            .rule(RuleKind::HistogramHh)
-            .build()
-            .unwrap();
-        let isolated = Engine::builder(table)
-            .partitions(4)
-            .threads(1)
-            .rule(RuleKind::HistogramHh)
-            .share_kappa(false)
-            .build()
-            .unwrap();
-        let with = shared.search(&query, 5).unwrap();
-        let without = isolated.search(&query, 5).unwrap();
-        assert_eq!(with.hits, without.hits);
-        assert!(
-            with.contributions_evaluated() <= without.contributions_evaluated(),
-            "κ sharing must never increase the scanned work: {} vs {}",
-            with.contributions_evaluated(),
-            without.contributions_evaluated()
-        );
     }
 
     #[test]

@@ -24,12 +24,11 @@
 //!   `Batch`, takes the *cheapest estimated* request first within a class
 //!   (shortest-job-first keeps the coalescing latency of cheap queries from
 //!   being dominated by expensive neighbours), and stops filling the batch
-//!   once the summed estimates exceed [`ServerBuilder::max_cost`] — the
-//!   deadline-aware batch cut: whatever a pass leaves behind is served by
-//!   a later one, so no single pass grows unboundedly long. Aging keeps
-//!   that promise honest: a request passed over [`STARVATION_PASSES`]
-//!   times stops competing on cost and leads the next pass of its class,
-//!   so sustained cheap traffic cannot starve an expensive request.
+//!   at [`ServerBuilder::max_batch`] requests: whatever a pass leaves
+//!   behind is served by a later one. Aging keeps shortest-job-first
+//!   honest: a request passed over [`STARVATION_PASSES`] times stops
+//!   competing on cost and leads the next pass of its class, so sustained
+//!   cheap traffic cannot starve an expensive request.
 //!
 //! This is deliberately a *synchronous* queue + condvar design — no async
 //! runtime exists in this dependency-free workspace — but the seam is the
@@ -89,8 +88,7 @@ impl std::fmt::Debug for Pending {
 
 /// After this many passed-over engine passes a request stops competing on
 /// cost: it sorts ahead of every non-starved entry in its class (oldest
-/// first) and, as the first pick of the pass, bypasses the cost budget —
-/// shortest-job-first cannot starve an expensive request forever.
+/// first) — shortest-job-first cannot starve an expensive request forever.
 pub const STARVATION_PASSES: u32 = 4;
 
 /// The server's pre-registered metric handles, living in the fronted
@@ -146,23 +144,22 @@ impl QueueState {
 }
 
 /// Drains up to `max_batch` requests for one engine pass: strict priority
-/// classes first (`Interactive` → `Normal` → `Batch`), the
-/// cheapest estimate first within a class, and a deadline-aware cut — once
-/// the summed estimates of the picked requests would exceed `max_cost`,
-/// the batch closes (the first pick of a pass is always admitted, so an
-/// oversized single request still executes alone rather than starving).
+/// classes first (`Interactive` → `Normal` → `Batch`), the cheapest
+/// estimate first within a class.
 ///
 /// Aging keeps shortest-job-first live: a request passed over
 /// [`STARVATION_PASSES`] times stops competing on cost — it sorts ahead of
-/// its whole class (oldest first) and is admitted even over budget (its
-/// cost still counts toward the budget, so the pass after it stays
-/// bounded). Strict priority between *classes* is deliberate and not aged
-/// away: `Batch` work yields to a sustained `Interactive` stream by
-/// design.
-fn drain_batch(state: &mut QueueState, max_batch: usize, max_cost: f64) -> Vec<Pending> {
+/// its whole class (oldest first), so a stream of cheaper arrivals cannot
+/// keep it out of the batch. Strict priority between *classes* is
+/// deliberate and not aged away: `Batch` work yields to a sustained
+/// `Interactive` stream by design.
+fn drain_batch(state: &mut QueueState, max_batch: usize) -> Vec<Pending> {
     let mut batch: Vec<Pending> = Vec::new();
-    let mut cost_sum = 0.0;
     for queue in &mut state.pending {
+        if batch.len() >= max_batch {
+            // a full batch leaves lower classes untouched (and un-aged)
+            break;
+        }
         if queue.is_empty() {
             continue;
         }
@@ -185,37 +182,13 @@ fn drain_batch(state: &mut QueueState, max_batch: usize, max_cost: f64) -> Vec<P
                 })
                 .then(ai.cmp(bi))
         });
-        let mut leftover: Vec<(usize, Pending)> = Vec::new();
-        let mut deadline_hit = false;
-        for (arrival, pending) in entries {
-            // A starved entry is admitted regardless of the budget (its
-            // cost still counts toward it): were it merely *exempt from
-            // latching*, a sustained higher-class load could hold the
-            // batch non-empty forever and the entry — sorted first in its
-            // class — would head-of-line-block every cheaper request
-            // behind it without ever being served itself.
-            let starved = pending.waited >= STARVATION_PASSES;
-            // `deadline_hit` is a latch: once a non-starved entry exceeds
-            // the budget, the batch is closed for everything after it
-            deadline_hit |= !starved && !batch.is_empty() && cost_sum + pending.cost > max_cost;
-            if (deadline_hit && !starved) || batch.len() >= max_batch {
-                leftover.push((arrival, pending));
-            } else {
-                cost_sum += pending.cost;
-                batch.push(pending);
-            }
-        }
+        let mut leftover = entries.split_off((max_batch - batch.len()).min(entries.len()));
+        batch.extend(entries.into_iter().map(|(_, pending)| pending));
         leftover.sort_by_key(|&(arrival, _)| arrival);
         queue.extend(leftover.into_iter().map(|(_, mut pending)| {
             pending.waited = pending.waited.saturating_add(1);
             pending
         }));
-        if deadline_hit || batch.len() >= max_batch {
-            // the deadline cut also closes lower classes: they must not
-            // jump a deadline the class above them already hit (a full
-            // batch closes them trivially)
-            break;
-        }
     }
     batch
 }
@@ -225,7 +198,6 @@ fn drain_batch(state: &mut QueueState, max_batch: usize, max_cost: f64) -> Vec<P
 pub struct ServerBuilder {
     engine: Engine,
     max_batch: usize,
-    max_cost: f64,
 }
 
 impl ServerBuilder {
@@ -239,31 +211,14 @@ impl ServerBuilder {
         self
     }
 
-    /// Upper bound on the *summed estimated cost* (expected
-    /// `(candidate, dimension)` evaluations, per [`Engine::estimate_cost`])
-    /// one engine pass admits — the deadline-aware batch cut. Default:
-    /// unbounded. The first request of a pass is always admitted, so a
-    /// single estimate above the bound still executes (alone). Non-finite
-    /// (other than `+∞`), NaN or non-positive values are rejected at
-    /// [`ServerBuilder::build`].
-    #[must_use]
-    pub fn max_cost(mut self, max_cost: f64) -> Self {
-        self.max_cost = max_cost;
-        self
-    }
-
     /// Finishes the build and starts the worker thread.
     ///
     /// # Errors
     ///
-    /// [`BondError::InvalidParams`] when `max_batch` is zero or `max_cost`
-    /// is NaN or non-positive.
+    /// [`BondError::InvalidParams`] when `max_batch` is zero.
     pub fn build(self) -> Result<Server> {
         if self.max_batch == 0 {
             return Err(BondError::InvalidParams("max_batch must be non-zero".into()));
-        }
-        if self.max_cost.is_nan() || self.max_cost <= 0.0 {
-            return Err(BondError::InvalidParams("max_cost must be positive".into()));
         }
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
@@ -276,8 +231,8 @@ impl ServerBuilder {
         let worker = {
             let engine = self.engine.clone();
             let shared = Arc::clone(&shared);
-            let (max_batch, max_cost) = (self.max_batch, self.max_cost);
-            std::thread::spawn(move || worker_loop(&engine, &shared, max_batch, max_cost))
+            let max_batch = self.max_batch;
+            std::thread::spawn(move || worker_loop(&engine, &shared, max_batch))
         };
         Ok(Server { engine: self.engine, shared, worker: Some(worker) })
     }
@@ -285,7 +240,7 @@ impl ServerBuilder {
 
 /// A long-lived, thread-safe k-NN server: an `Arc`'d [`Engine`] plus
 /// per-priority submission queues whose worker coalesces concurrent
-/// requests into cost-bounded engine batches.
+/// requests into priority-ordered, cheapest-first engine batches.
 ///
 /// `Server` is `Send + Sync`; submit from as many threads as you like.
 /// Dropping the server shuts the worker down after it drains the queues
@@ -324,7 +279,7 @@ impl Server {
 
     /// Starts building a server over `engine`.
     pub fn builder(engine: Engine) -> ServerBuilder {
-        ServerBuilder { engine, max_batch: 64, max_cost: f64::INFINITY }
+        ServerBuilder { engine, max_batch: 64 }
     }
 
     /// The engine this server fronts.
@@ -429,10 +384,10 @@ impl Drop for Server {
     }
 }
 
-/// The worker: wait for requests, drain a priority-ordered, cost-bounded
+/// The worker: wait for requests, drain a priority-ordered, cheapest-first
 /// batch, execute it as one engine pass, route each answer to its
 /// submitter.
-fn worker_loop(engine: &Engine, shared: &Shared, max_batch: usize, max_cost: f64) {
+fn worker_loop(engine: &Engine, shared: &Shared, max_batch: usize) {
     loop {
         let drained: Vec<Pending> = {
             let mut state = shared.state.lock().expect("queue mutex never poisoned");
@@ -443,7 +398,7 @@ fn worker_loop(engine: &Engine, shared: &Shared, max_batch: usize, max_cost: f64
                 // shutdown and fully drained
                 return;
             }
-            drain_batch(&mut state, max_batch, max_cost)
+            drain_batch(&mut state, max_batch)
         };
 
         shared.metrics.queue_depth.add(-(drained.len() as i64));
@@ -590,15 +545,7 @@ mod tests {
             Server::builder(engine()).max_batch(0).build(),
             Err(BondError::InvalidParams(_))
         ));
-        assert!(matches!(
-            Server::builder(engine()).max_cost(0.0).build(),
-            Err(BondError::InvalidParams(_))
-        ));
-        assert!(matches!(
-            Server::builder(engine()).max_cost(f64::NAN).build(),
-            Err(BondError::InvalidParams(_))
-        ));
-        assert!(Server::builder(engine()).max_cost(f64::INFINITY).build().is_ok());
+        assert!(Server::builder(engine()).max_batch(1).build().is_ok());
     }
 
     #[test]
@@ -608,7 +555,7 @@ mod tests {
             vec![pending(10, 9.0), pending(11, 3.0), pending(12, 6.0)],
             vec![pending(90, 1.0)],
         ]);
-        let batch = drain_batch(&mut state, 8, f64::INFINITY);
+        let batch = drain_batch(&mut state, 8);
         let ks: Vec<usize> = batch.iter().map(|p| p.spec.k()).collect();
         // interactive first (regardless of cost), then normal cheapest
         // first, then batch work
@@ -617,37 +564,17 @@ mod tests {
     }
 
     #[test]
-    fn drain_cuts_the_batch_at_max_cost_and_keeps_the_rest_queued() {
-        let mut state = queue_state([
-            vec![],
-            vec![pending(1, 4.0), pending(2, 4.0), pending(3, 4.0)],
-            vec![pending(9, 0.1)],
-        ]);
-        let batch = drain_batch(&mut state, 8, 10.0);
-        let ks: Vec<usize> = batch.iter().map(|p| p.spec.k()).collect();
-        // 4 + 4 fit; the third normal request would exceed 10 and closes
-        // the batch — including for the cheaper Batch-class request behind
-        // it (lower classes must not jump the deadline)
-        assert_eq!(ks, vec![1, 2]);
-        assert_eq!(state.pending[1].len(), 1);
-        assert_eq!(state.pending[2].len(), 1);
-        // the leftover is served by the next pass
-        let next = drain_batch(&mut state, 8, 10.0);
-        assert_eq!(next.len(), 2);
-        assert!(state.is_empty());
-    }
-
-    #[test]
     fn aged_requests_stop_competing_on_cost() {
-        // an expensive request under sustained cheaper load: every pass
-        // admits two cost-4 picks and the cost-8 request would be passed
-        // over forever under pure shortest-job-first; aging rescues it.
+        // an expensive request under sustained cheaper load: every pass has
+        // room for two requests and two cost-4 requests join the queue
+        // before it, so under pure shortest-job-first the cost-8 request
+        // would be passed over forever; aging rescues it.
         let mut state = queue_state([vec![], vec![pending(99, 8.0)], vec![]]);
         let mut rescued_at = None;
         for pass in 0..=STARVATION_PASSES {
             state.pending[1].push_back(pending(1, 4.0));
             state.pending[1].push_back(pending(2, 4.0));
-            let batch = drain_batch(&mut state, 8, 10.0);
+            let batch = drain_batch(&mut state, 2);
             if batch.iter().any(|p| p.spec.k() == 99) {
                 assert_eq!(batch[0].spec.k(), 99, "the starved request leads its pass");
                 rescued_at = Some(pass);
@@ -662,29 +589,10 @@ mod tests {
     }
 
     #[test]
-    fn starved_requests_are_admitted_over_budget_without_blocking_their_class() {
-        // a higher-class pick has consumed most of the budget; the starved
-        // normal request must be admitted anyway (not latch the deadline at
-        // itself and head-of-line-block the class), and the cheap request
-        // behind it is served by the very next pass
-        let mut starved = pending(99, 8.0);
-        starved.waited = STARVATION_PASSES;
-        let mut state =
-            queue_state([vec![pending(50, 6.0)], vec![starved, pending(1, 1.0)], vec![]]);
-        let batch = drain_batch(&mut state, 8, 10.0);
-        let ks: Vec<usize> = batch.iter().map(|p| p.spec.k()).collect();
-        assert_eq!(ks, vec![50, 99], "the starved request is admitted over budget");
-        let next = drain_batch(&mut state, 8, 10.0);
-        assert_eq!(next.len(), 1);
-        assert_eq!(next[0].spec.k(), 1, "the cheap request is not blocked behind it");
-        assert!(state.is_empty());
-    }
-
-    #[test]
     fn an_oversized_single_request_still_executes_alone() {
         let mut state = queue_state([vec![], vec![pending(7, 1e12)], vec![]]);
-        let batch = drain_batch(&mut state, 8, 10.0);
-        assert_eq!(batch.len(), 1, "the first pick is always admitted");
+        let batch = drain_batch(&mut state, 8);
+        assert_eq!(batch.len(), 1, "no estimate holds a request back");
         assert!(state.is_empty());
     }
 
@@ -695,36 +603,9 @@ mod tests {
             vec![pending(3, 1.0)],
             vec![pending(4, 1.0)],
         ]);
-        let batch = drain_batch(&mut state, 3, f64::INFINITY);
+        let batch = drain_batch(&mut state, 3);
         assert_eq!(batch.len(), 3);
         assert_eq!(state.pending[2].len(), 1, "the batch-class request waits");
-    }
-
-    #[test]
-    fn cost_bounded_server_still_answers_everything() {
-        let engine = engine();
-        // a tiny cost budget forces many small engine passes; every ticket
-        // must still resolve with the right answer
-        let server = Server::builder(engine.clone()).max_batch(8).max_cost(1.0).build().unwrap();
-        let expected: Vec<_> = (0..12)
-            .map(|i| {
-                let q = engine.table().row(i * 7).unwrap();
-                (q.clone(), engine.search(&q, 2).unwrap().hits)
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for (i, (q, hits)) in expected.iter().enumerate() {
-                let server = &server;
-                let priority = Priority::ALL[i % 3];
-                scope.spawn(move || {
-                    let spec = QuerySpec::new(q.clone(), 2).priority(priority);
-                    let answer = server.submit(spec).unwrap().wait().unwrap();
-                    assert_eq!(&answer.hits, hits, "answer routed to the wrong requester");
-                });
-            }
-        });
-        assert_eq!(server.queries_served(), 12);
-        assert!(server.batches_executed() >= 2, "the cost cut splits the burst");
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! The adaptive planner's contract: per-segment stats-driven plans and
-//! κ-aware whole-segment skipping return the *same k-NN set and ranks* as
-//! the sequential reference searcher — for every rule, any partition count,
-//! any k, and under score ties (duplicate vectors), where the deterministic
-//! `RowId` tie-break must agree with the sequential total order. Scores are
-//! re-verified exact values, so they match the reference up to summation
-//! order (≤ a few ulps), not necessarily bit for bit — that relaxation is
-//! exactly what buys per-segment plan freedom. (Distinct rows whose exact
-//! scores differ by *less than an ulp or two* could in principle rank
-//! either way at a segment cutoff; random collections never produce such
-//! pairs, and exact duplicates — which these strategies generate on
-//! purpose — order identically by row id everywhere.)
+//! The a-priori adaptive plans' contract: the per-segment plan a segment
+//! gets from its statistics alone — what `PlannerKind::Feedback` runs on a
+//! freshly built engine, before any execution feedback exists — together
+//! with κ-aware whole-segment skipping returns the *same k-NN set and
+//! ranks* as the sequential reference searcher, for every rule, any
+//! partition count, any k, and under score ties (duplicate vectors), where
+//! the deterministic `RowId` tie-break must agree with the sequential total
+//! order. Every search runs on its own new engine, so each one is cold.
+//! Scores are re-verified exact values, so they match the reference up to
+//! summation order (≤ a few ulps), not necessarily bit for bit. (Distinct
+//! rows whose exact scores differ by *less than an ulp or two* could in
+//! principle rank either way at a segment cutoff; random collections never
+//! produce such pairs, and exact duplicates — which these strategies
+//! generate on purpose — order identically by row id everywhere.)
 
-use bond::{BondParams, BondSearcher};
-use bond_exec::{Engine, PlannerKind, RequestBatch, RuleKind};
+use bond_exec::{Engine, PlannerKind, RuleKind};
 use proptest::prelude::*;
 use std::sync::Arc;
 use vdstore::topk::Scored;
@@ -75,9 +76,10 @@ proptest! {
                         .partitions(partitions)
                         .threads(3)
                         .rule(rule.clone())
-                        .planner(PlannerKind::Adaptive)
+                        .planner(PlannerKind::Feedback)
                         .build()
                         .unwrap();
+                    prop_assert_eq!(engine.feedback_snapshot().total_searches(), 0);
                     let outcome = engine.search(&query, k).unwrap();
                     let reference = engine.sequential_reference(&query, k).unwrap();
                     let context = format!(
@@ -88,180 +90,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn weighted_rules_match_the_sequential_weighted_searcher(
-        (vectors, qi) in duplicated_collection(),
-        uniform_planner in proptest::bool::ANY,
-    ) {
-        let table = Arc::new(DecomposedTable::from_vectors("weighted", &vectors).unwrap());
-        let query = vectors[qi % vectors.len()].clone();
-        let n = table.rows();
-        let k = 5.min(n);
-        // a subspace-ish weight profile: one heavy, one zero, rest moderate
-        let mut weights = vec![1.0; DIMS];
-        weights[0] = 4.0;
-        weights[DIMS - 1] = 0.0;
-        let planner =
-            if uniform_planner { PlannerKind::Uniform } else { PlannerKind::Adaptive };
-        let params = BondParams::default();
-        let searcher = BondSearcher::new(&table);
-
-        for (kind, sequential) in [
-            (
-                RuleKind::weighted_euclidean(weights.clone()).unwrap(),
-                searcher.weighted_euclidean(&query, &weights, k, &params).unwrap().hits,
-            ),
-            (
-                RuleKind::weighted_histogram(weights.clone()).unwrap(),
-                searcher
-                    .weighted_histogram_intersection(&query, &weights, k, &params)
-                    .unwrap()
-                    .hits,
-            ),
-        ] {
-            let engine = Engine::builder(table.clone())
-                .partitions(3)
-                .threads(2)
-                .rule(kind.clone())
-                .planner(planner)
-                .build()
-                .unwrap();
-            let outcome = engine.search(&query, k).unwrap();
-            let context = format!("weighted rule {} planner {planner:?}", kind.name());
-            assert_rank_correct(&outcome.hits, &sequential, &context);
-        }
-    }
-
-    #[test]
-    fn adaptive_batches_match_single_queries(
-        (vectors, _) in duplicated_collection(),
-        k in 1usize..=5,
-    ) {
-        let table = DecomposedTable::from_vectors("batch", &vectors).unwrap();
-        let queries: Vec<Vec<f64>> =
-            vectors.iter().step_by(vectors.len().div_ceil(4).max(1)).cloned().collect();
-        let engine = Engine::builder(table)
-            .partitions(3)
-            .threads(2)
-            .planner(PlannerKind::Adaptive)
-            .build()
-            .unwrap();
-        let outcome = engine
-            .execute(&RequestBatch::from_queries(queries.clone(), k))
-            .unwrap();
-        for (q, merged) in queries.iter().zip(&outcome.queries) {
-            let reference = engine.sequential_reference(q, k).unwrap();
-            assert_rank_correct(&merged.hits, &reference, "adaptive batch");
-        }
-    }
-}
-
-/// Two well-separated clusters in distinct row ranges: once the first
-/// segment has proven its κ, the second segment's envelope bound cannot
-/// reach it and the whole segment must be skipped with *zero* column
-/// touches (no contributions, no dimensions accessed, no pruning attempts).
-#[test]
-fn far_segment_is_skipped_without_touching_columns() {
-    let dims = 8;
-    let mut vectors = Vec::new();
-    for i in 0..50 {
-        // cluster A: tightly around 0.1
-        vectors.push(vec![0.1 + (i % 10) as f64 * 1e-3; dims]);
-    }
-    for i in 0..50 {
-        // cluster B: tightly around 0.9, provably far from cluster A
-        vectors.push(vec![0.9 - (i % 10) as f64 * 1e-3; dims]);
-    }
-    let table = DecomposedTable::from_vectors("two_clusters", &vectors).unwrap();
-    let query = vectors[0].clone();
-
-    let engine = Engine::builder(table)
-        .partitions(2)
-        .threads(1) // deterministic task order: segment 0 runs first
-        .rule(RuleKind::EuclideanEv)
-        .planner(PlannerKind::Adaptive)
-        .build()
-        .unwrap();
-    let outcome = engine.search(&query, 5).unwrap();
-
-    // the answers all come from cluster A and match the reference
-    let reference = engine.sequential_reference(&query, 5).unwrap();
-    assert_rank_correct(&outcome.hits, &reference, "two clusters");
-    assert!(outcome.hits.iter().all(|h| h.row < 50));
-
-    // segment 1 (rows 50..100) was skipped outright
-    assert_eq!(outcome.segments.len(), 2);
-    let skipped = &outcome.segments[1].trace;
-    assert!(skipped.segment_skipped, "far segment must be skipped");
-    assert_eq!(skipped.contributions_evaluated, 0, "zero column touches");
-    assert_eq!(skipped.dims_accessed, 0);
-    assert_eq!(skipped.pruning_attempts, 0);
-    assert!(skipped.checkpoints.is_empty());
-    assert_eq!(outcome.segments_skipped(), 1);
-    // segment 0 did real work
-    assert!(outcome.segments[0].trace.contributions_evaluated > 0);
-}
-
-/// The similarity-side skip: a segment with no mass on the query's
-/// dimensions has envelope bound ~0 and is skipped.
-#[test]
-fn massless_segment_is_skipped_under_histogram_intersection() {
-    let mut vectors = Vec::new();
-    for i in 0..40 {
-        let x = 0.8 + (i % 5) as f64 * 0.01;
-        vectors.push(vec![x, 1.0 - x, 0.0, 0.0]);
-    }
-    for i in 0..40 {
-        let x = 0.8 + (i % 5) as f64 * 0.01;
-        vectors.push(vec![0.0, 0.0, x, 1.0 - x]);
-    }
-    let table = DecomposedTable::from_vectors("disjoint_support", &vectors).unwrap();
-    let query = vec![0.8, 0.2, 0.0, 0.0];
-
-    let engine = Engine::builder(table)
-        .partitions(2)
-        .threads(1)
-        .rule(RuleKind::HistogramHq)
-        .planner(PlannerKind::Adaptive)
-        .build()
-        .unwrap();
-    let outcome = engine.search(&query, 3).unwrap();
-    assert!(outcome.segments[1].trace.segment_skipped);
-    assert_eq!(outcome.segments[1].trace.contributions_evaluated, 0);
-    assert!(outcome.hits.iter().all(|h| h.row < 40));
-}
-
-/// Skipping needs the shared κ cell and the adaptive planner; without
-/// either, every segment runs.
-#[test]
-fn no_skipping_without_kappa_sharing_or_under_uniform_planning() {
-    let mut vectors = Vec::new();
-    for _ in 0..30 {
-        vectors.push(vec![0.1; 4]);
-    }
-    for _ in 0..30 {
-        vectors.push(vec![0.9; 4]);
-    }
-    let table = Arc::new(DecomposedTable::from_vectors("no_skip", &vectors).unwrap());
-    let query = vec![0.1; 4];
-
-    for (planner, share) in [
-        (PlannerKind::Uniform, true),
-        (PlannerKind::Adaptive, false),
-        (PlannerKind::Uniform, false),
-    ] {
-        let engine = Engine::builder(table.clone())
-            .partitions(2)
-            .threads(1)
-            .rule(RuleKind::EuclideanEv)
-            .planner(planner)
-            .share_kappa(share)
-            .build()
-            .unwrap();
-        let outcome = engine.search(&query, 3).unwrap();
-        assert_eq!(outcome.segments_skipped(), 0, "planner {planner:?} share {share}");
-        assert!(outcome.segments.iter().all(|s| s.trace.contributions_evaluated > 0));
     }
 }

@@ -54,7 +54,7 @@ fn mixed_rules() -> Vec<RuleKind> {
 }
 
 /// Same k-NN set *and ranks*; scores equal up to floating-point summation
-/// order (adaptive merges re-verify in a fixed order, uniform merges are
+/// order (feedback merges re-verify in a fixed order, uniform merges are
 /// bit-identical — both are within this tolerance of the reference).
 fn assert_rank_correct(answer: &[Scored], reference: &[Scored], context: &str) {
     assert_eq!(answer.len(), reference.len(), "{context}: hit counts differ");
@@ -91,7 +91,7 @@ proptest! {
                     .rule(rules[i % rules.len()].clone());
                 // every batch mixes planners too: half the specs override
                 spec = match i % 2 {
-                    0 => spec.planner(PlannerKind::Adaptive),
+                    0 => spec.planner(PlannerKind::Feedback),
                     _ => spec.planner(PlannerKind::Uniform),
                 };
                 spec
@@ -99,7 +99,7 @@ proptest! {
             .collect();
         let batch = RequestBatch::from_specs(specs.clone());
 
-        for default_planner in [PlannerKind::Uniform, PlannerKind::Adaptive] {
+        for default_planner in [PlannerKind::Uniform, PlannerKind::Feedback] {
             for partitions in PARTITIONS {
                 let engine = Engine::builder(table.clone())
                     .partitions(partitions)

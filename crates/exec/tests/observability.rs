@@ -40,7 +40,8 @@ fn clustered_table(rows: usize) -> Arc<DecomposedTable> {
     )
 }
 
-/// For every planner × partition count, the plan EXPLAIN renders must be
+/// For every planner (feedback both cold and warm) × partition count, the
+/// plan EXPLAIN renders must be
 /// the plan execution runs (`plans_match`), and ANALYZE's per-segment and
 /// total scanned-cell counts must equal the executed trace's work
 /// counters exactly.
@@ -48,7 +49,11 @@ fn clustered_table(rows: usize) -> Arc<DecomposedTable> {
 fn explain_matches_execution_for_every_planner_and_partitioning() {
     let table = Arc::new(table(210, DIMS));
     let queries: Vec<Vec<f64>> = (0u32..3).map(|i| table.row(i * 67).unwrap()).collect();
-    for planner in [PlannerKind::Uniform, PlannerKind::Adaptive, PlannerKind::Feedback] {
+    for (planner, warm) in [
+        (PlannerKind::Uniform, false),
+        (PlannerKind::Feedback, false),
+        (PlannerKind::Feedback, true),
+    ] {
         for partitions in PARTITIONS {
             let engine = Engine::builder(table.clone())
                 .partitions(partitions)
@@ -57,7 +62,7 @@ fn explain_matches_execution_for_every_planner_and_partitioning() {
                 .planner(planner)
                 .build()
                 .unwrap();
-            if planner == PlannerKind::Feedback {
+            if warm {
                 // exercise the warm derivation path too, not just cold
                 let warming = RequestBatch::from_queries(
                     (0u32..40)
@@ -75,7 +80,7 @@ fn explain_matches_execution_for_every_planner_and_partitioning() {
                 let outcome = engine.search_spec(&spec).unwrap();
                 let analysis = outcome.analyze(&explain);
 
-                let context = format!("planner {planner:?} partitions {partitions}");
+                let context = format!("planner {planner:?} warm {warm} partitions {partitions}");
                 assert!(analysis.plans_match(), "{context}: executed plan != rendered plan");
                 assert_eq!(
                     analysis.scanned_cells(),
@@ -110,7 +115,7 @@ fn disabled_tracing_is_bit_identical_to_enabled() {
         let engine = Engine::builder(table.clone())
             .partitions(3)
             .threads(1) // deterministic κ publication order ⇒ identical work counters
-            .planner(PlannerKind::Adaptive)
+            .planner(PlannerKind::Feedback)
             .build()
             .unwrap();
         engine.execute(&batch).unwrap()

@@ -1,7 +1,7 @@
 //! The persistent segment store's engine-level contract: an engine reopened
 //! from disk — through either storage backend — is indistinguishable from
 //! the engine that persisted it. Uniform planning stays bit-identical,
-//! adaptive planning stays rank-correct, the footer statistics are
+//! feedback planning stays rank-correct, the footer statistics are
 //! bit-exact copies of the build-time statistics (so zone-map skipping
 //! fires without reading any column data), and malformed files surface
 //! typed errors instead of panics.
@@ -120,7 +120,7 @@ fn segment_skipping_fires_from_persisted_zone_maps() {
             .unwrap()
             .threads(1) // deterministic task order: segment 0 proves κ first
             .rule(RuleKind::EuclideanEv)
-            .planner(PlannerKind::Adaptive)
+            .planner(PlannerKind::Feedback)
             .build()
             .unwrap();
         let outcome = engine.search(&query, 5).unwrap();
@@ -202,7 +202,7 @@ proptest! {
 
     /// Weighted rules (including 0-weight subspace queries) agree across
     /// the persist/reopen boundary on both backends, rank-correctly under
-    /// adaptive planning and bit-identically under uniform planning.
+    /// feedback planning and bit-identically under uniform planning.
     #[test]
     fn weighted_rule_queries_agree_across_backends(
         vectors in proptest::collection::vec(
@@ -244,16 +244,17 @@ proptest! {
                 .unwrap();
             let uniform = reopened.search(&query, k).unwrap();
             prop_assert_eq!(&uniform.hits, &uniform_expected.hits, "uniform {:?}", backend);
-            let adaptive = reopened
-                .search_spec(&QuerySpec::new(query.clone(), k).planner(PlannerKind::Adaptive))
+            let feedback = reopened
+                .search_spec(&QuerySpec::new(query.clone(), k).planner(PlannerKind::Feedback))
                 .unwrap();
-            assert_rank_correct(&adaptive.hits, &reference, &format!("adaptive {backend:?}"));
+            assert_rank_correct(&feedback.hits, &reference, &format!("feedback {backend:?}"));
         }
         std::fs::remove_file(&path).unwrap();
     }
 
     /// Persist → reopen → search round-trips rank-correctly for all four
-    /// unweighted rules under adaptive planning, with tombstones persisted.
+    /// unweighted rules under per-segment (feedback) planning, with
+    /// tombstones persisted.
     #[test]
     fn adaptive_reopened_engines_are_rank_correct(
         rows in 30usize..120,
@@ -282,7 +283,7 @@ proptest! {
         for rule in RuleKind::ALL {
             let spec = QuerySpec::new(query.clone(), k)
                 .rule(rule.clone())
-                .planner(PlannerKind::Adaptive);
+                .planner(PlannerKind::Feedback);
             let reference = original.sequential_reference_spec(&spec).unwrap();
             let got = reopened.search_spec(&spec).unwrap();
             assert_rank_correct(&got.hits, &reference, rule.name());

@@ -67,43 +67,48 @@ fn quantized_filter_is_bit_identical_for_every_rule_and_partitioning() {
     }
 }
 
+/// Feedback planning with the quantized first pass: on a cold engine
+/// (every segment on its a-priori adaptive plan) and again once the
+/// quantized runs have warmed the feedback store, the filtered answer is
+/// the exact answer.
 #[test]
 fn quantized_filter_composes_with_adaptive_and_feedback_planning() {
     let t = table(360, DIMS);
-    for planner in [PlannerKind::Adaptive, PlannerKind::Feedback] {
-        let engine = Engine::builder(t.clone())
-            .partitions(4)
-            .threads(2)
-            .planner(planner)
-            .rule(RuleKind::EuclideanEv)
-            .build()
-            .unwrap();
-        // warm the feedback store through the quantized path itself
-        let warming: Vec<QuerySpec> = (0..40)
-            .map(|i| {
-                QuerySpec::new(engine.table().row(i * 9).unwrap(), 5)
-                    .scan_mode(ScanMode::QuantizedFilter)
-            })
-            .collect();
-        engine.execute(&RequestBatch::from_specs(warming)).unwrap();
-
-        // cold or warm, the filtered answer is the exact answer
+    let engine = Engine::builder(t)
+        .partitions(4)
+        .threads(2)
+        .planner(PlannerKind::Feedback)
+        .rule(RuleKind::EuclideanEv)
+        .build()
+        .unwrap();
+    let filtered_matches_exact = |phase: &str| {
         for i in [7u32, 83, 211] {
             let q = engine.table().row(i).unwrap();
-            let exact = engine.search_spec(&QuerySpec::new(q.clone(), 10)).unwrap();
             let filtered = engine
-                .search_spec(&QuerySpec::new(q, 10).scan_mode(ScanMode::QuantizedFilter))
+                .search_spec(&QuerySpec::new(q.clone(), 10).scan_mode(ScanMode::QuantizedFilter))
                 .unwrap();
-            assert_eq!(filtered.hits, exact.hits, "planner {planner:?} query {i}");
+            let exact = engine.search_spec(&QuerySpec::new(q, 10)).unwrap();
+            assert_eq!(filtered.hits, exact.hits, "{phase} query {i}");
         }
+    };
+    filtered_matches_exact("cold");
 
-        // the observed selectivity reached the learned per-segment state
-        let snapshot = engine.feedback_snapshot();
-        assert!(
-            snapshot.segments.iter().any(|s| s.filter_selectivity().is_some()),
-            "planner {planner:?}: quantized runs must feed selectivity back"
-        );
-    }
+    // warm the feedback store through the quantized path itself
+    let warming: Vec<QuerySpec> = (0..40)
+        .map(|i| {
+            QuerySpec::new(engine.table().row(i * 9).unwrap(), 5)
+                .scan_mode(ScanMode::QuantizedFilter)
+        })
+        .collect();
+    engine.execute(&RequestBatch::from_specs(warming)).unwrap();
+    filtered_matches_exact("warm");
+
+    // the observed selectivity reached the learned per-segment state
+    let snapshot = engine.feedback_snapshot();
+    assert!(
+        snapshot.segments.iter().any(|s| s.filter_selectivity().is_some()),
+        "quantized runs must feed selectivity back"
+    );
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //!   predicate-filtered search returns exactly the brute-force
 //!   filter-then-scan answer: the filter composes with tombstones, with
 //!   the quantized first pass, and with zone-map segment skipping, and an
-//!   adaptive skip never drops an eligible row.
+//!   zone-map skip never drops an eligible row.
 //! * **Multi-feature requests match the sequential searcher** — the
 //!   partitioned engine's synchronized scan is bit-identical to
 //!   [`MultiFeatureSearcher`] for every aggregate, and filtered
@@ -95,9 +95,9 @@ proptest! {
         let filter = Arc::new(bitmap_from_mask(&mask));
         for rule in all_rules() {
             for partitions in PARTITIONS {
-                // Adaptive covers the zone-map skip path: a skipped segment
+                // Feedback covers the zone-map skip path: a skipped segment
                 // must never have held an eligible answer row.
-                for planner in [PlannerKind::Uniform, PlannerKind::Adaptive] {
+                for planner in [PlannerKind::Uniform, PlannerKind::Feedback] {
                     let engine = Engine::builder(table.clone())
                         .partitions(partitions)
                         .threads(2)
@@ -120,7 +120,7 @@ proptest! {
                             // the answer is bit-identical.
                             assert_eq!(outcome.hits, expected, "{ctx}");
                         } else {
-                            // Adaptive reorders dimensions per segment, so
+                            // Feedback reorders dimensions per segment, so
                             // exact scores can drift by an ULP — rows and
                             // ranks must still match the brute force.
                             assert_eq!(outcome.hits.len(), expected.len(), "{ctx}");

@@ -68,7 +68,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::bitmap::Bitmap;
-use crate::checksum::{fnv1a, fnv1a_f64, fnv1a_update, FNV_OFFSET};
+use crate::checksum::{fnv1a, fnv1a_update, FNV_OFFSET};
 use crate::codes::{CodeColumn, CodeParams, StoreCodes};
 use crate::column::{Column, ColumnData};
 use crate::error::{Result, VdError};
@@ -77,6 +77,7 @@ use crate::segment::{SegmentSpec, SegmentStats};
 use crate::stats::ColumnStats;
 use crate::table::DecomposedTable;
 use crate::RowId;
+use std::io::Write;
 use std::path::Path;
 
 const MAGIC_V2: &[u8; 8] = b"BONDVD02";
@@ -147,7 +148,7 @@ pub struct PersistedStore {
     /// (e.g. an engine's accumulated plan feedback), when one was written.
     pub learned: Option<Vec<u8>>,
     /// The per-segment quantized code companions from the footer, when the
-    /// store was written with them ([`save_store_with_codes`]) — a cold
+    /// store was written with them ([`save_store`]) — a cold
     /// open hands the engine's quantized filter its codes without touching
     /// a single exact fragment. Mapped opens expose them zero-copy.
     pub codes: Option<StoreCodes>,
@@ -267,100 +268,21 @@ fn store_footer(
     buf
 }
 
-/// Serialises a table plus its partition boundaries and cached per-segment
-/// statistics into the v2 store format, in memory, computing each
-/// fragment's FNV-1a checksum as it is written and embedding `learned` (an
-/// opaque learned-state payload, e.g. accumulated plan feedback) in the
-/// footer. For large collections prefer [`save_store`], which streams the
-/// data region to disk instead of materialising a second copy of every
-/// fragment.
-///
-/// # Errors
-///
-/// [`VdError::InvalidArgument`] when `stats` is not parallel to `specs`,
-/// a stats entry covers a different range than its spec, a stats entry's
-/// dimensionality differs from the table's, or the specs do not tile the
-/// table's rows in order.
-pub fn store_to_bytes(
-    table: &DecomposedTable,
-    specs: &[SegmentSpec],
-    stats: &[SegmentStats],
-    learned: Option<&[u8]>,
-) -> Result<Bytes> {
-    store_to_bytes_with_codes(table, specs, stats, learned, None)
-}
-
-/// [`store_to_bytes`] plus an optional quantized-code companion persisted
-/// in the footer's codes section. Writing `None` produces bytes identical
-/// to [`store_to_bytes`]; the codes must cover exactly this table and these
-/// segment boundaries.
-pub fn store_to_bytes_with_codes(
+/// Writes the v2 store to `w`: header, data region (each fragment's FNV-1a
+/// checksum folded incrementally over the streamed chunks), footer, footer
+/// checksum and trailer. Returns the bytes written. The one writer behind
+/// [`store_to_bytes`] and [`save_store`]; callers validate the inputs first
+/// ([`validate_write_inputs`]).
+fn write_store_to(
+    w: &mut impl Write,
     table: &DecomposedTable,
     specs: &[SegmentSpec],
     stats: &[SegmentStats],
     learned: Option<&[u8]>,
     codes: Option<&StoreCodes>,
-) -> Result<Bytes> {
-    validate_store_inputs(table, specs, stats)?;
-    if let Some(codes) = codes {
-        validate_codes_inputs(table, specs, codes)?;
-    }
-    let mut buf = store_header(table);
-    let mut checksums = Vec::with_capacity(table.dims());
-    for c in table.columns() {
-        for &v in c.values() {
-            buf.put_f64_le(v);
-        }
-        checksums.push(fnv1a_f64(c.values()));
-    }
-    let footer_offset = buf.len() as u64;
-    let footer = store_footer(table, specs, stats, &checksums, learned, codes);
-    buf.put_slice(&footer);
-    buf.put_u64_le(fnv1a(&footer));
-    buf.put_u64_le(footer_offset);
-    buf.put_slice(TAIL_MAGIC_V2);
-    Ok(buf.freeze())
-}
-
-/// Writes the v2 store to a file, streaming the data region through a
-/// buffered writer — peak extra memory is one I/O buffer plus the footer,
-/// not a second copy of the table, so collections near (or beyond, under
-/// [`StorageBackend::Mapped`]) RAM size can still be persisted. Fragment
-/// checksums are folded incrementally over the streamed chunks. Same
-/// validation and byte-exact output as [`store_to_bytes`]. Returns a
-/// [`PersistReport`] with the bytes written and the wall time spent.
-pub fn save_store(
-    table: &DecomposedTable,
-    specs: &[SegmentSpec],
-    stats: &[SegmentStats],
-    learned: Option<&[u8]>,
-    path: &Path,
-) -> Result<PersistReport> {
-    save_store_with_codes(table, specs, stats, learned, None, path)
-}
-
-/// [`save_store`] plus an optional quantized-code companion persisted in
-/// the footer's codes section — same streaming, same byte-exact agreement
-/// with [`store_to_bytes_with_codes`].
-pub fn save_store_with_codes(
-    table: &DecomposedTable,
-    specs: &[SegmentSpec],
-    stats: &[SegmentStats],
-    learned: Option<&[u8]>,
-    codes: Option<&StoreCodes>,
-    path: &Path,
-) -> Result<PersistReport> {
-    use std::io::Write;
-    let started = std::time::Instant::now();
-    validate_store_inputs(table, specs, stats)?;
-    if let Some(codes) = codes {
-        validate_codes_inputs(table, specs, codes)?;
-    }
-    let io_err = |e: std::io::Error| VdError::Io(format!("writing {}: {e}", path.display()));
-    let file = std::fs::File::create(path).map_err(io_err)?;
-    let mut w = std::io::BufWriter::new(file);
+) -> std::io::Result<u64> {
     let header = store_header(table);
-    w.write_all(&header).map_err(io_err)?;
+    w.write_all(&header)?;
     let mut scratch = Vec::with_capacity(8 * 8192);
     let mut checksums = Vec::with_capacity(table.dims());
     for c in table.columns() {
@@ -371,18 +293,70 @@ pub fn save_store_with_codes(
                 scratch.extend_from_slice(&v.to_le_bytes());
             }
             hash = fnv1a_update(hash, &scratch);
-            w.write_all(&scratch).map_err(io_err)?;
+            w.write_all(&scratch)?;
         }
         checksums.push(hash);
     }
     let footer_offset = (header.len() + table.rows() * table.dims() * 8) as u64;
     let footer = store_footer(table, specs, stats, &checksums, learned, codes);
-    w.write_all(&footer).map_err(io_err)?;
-    w.write_all(&fnv1a(&footer).to_le_bytes()).map_err(io_err)?;
-    w.write_all(&footer_offset.to_le_bytes()).map_err(io_err)?;
-    w.write_all(TAIL_MAGIC_V2).map_err(io_err)?;
+    w.write_all(&footer)?;
+    w.write_all(&fnv1a(&footer).to_le_bytes())?;
+    w.write_all(&footer_offset.to_le_bytes())?;
+    w.write_all(TAIL_MAGIC_V2)?;
+    Ok(footer_offset + footer.len() as u64 + 16 + TAIL_MAGIC_V2.len() as u64)
+}
+
+/// Serialises a table plus its partition boundaries and cached per-segment
+/// statistics into the v2 store format, in memory, embedding `learned` (an
+/// opaque learned-state payload, e.g. accumulated plan feedback) and
+/// `codes` (a quantized-code companion covering exactly this table and
+/// these segment boundaries) in the footer. For large collections prefer
+/// [`save_store`], which streams the same bytes to disk instead of
+/// materialising a second copy of every fragment.
+///
+/// # Errors
+///
+/// [`VdError::InvalidArgument`] when `stats` is not parallel to `specs`,
+/// a stats entry covers a different range than its spec, a stats entry's
+/// dimensionality differs from the table's, the specs do not tile the
+/// table's rows in order, or the codes cover a different table or
+/// different segment boundaries.
+pub fn store_to_bytes(
+    table: &DecomposedTable,
+    specs: &[SegmentSpec],
+    stats: &[SegmentStats],
+    learned: Option<&[u8]>,
+    codes: Option<&StoreCodes>,
+) -> Result<Bytes> {
+    validate_write_inputs(table, specs, stats, codes)?;
+    let mut buf = Vec::with_capacity(64 + table.rows() * table.dims() * 8);
+    write_store_to(&mut buf, table, specs, stats, learned, codes)
+        .map_err(|e| VdError::Io(format!("serialising the store: {e}")))?;
+    Ok(Bytes::from(buf))
+}
+
+/// Writes the v2 store to a file through a buffered writer — peak extra
+/// memory is one I/O buffer plus the footer, not a second copy of the
+/// table, so collections near (or beyond, under
+/// [`StorageBackend::Mapped`]) RAM size can still be persisted. Same
+/// validation and byte-exact output as [`store_to_bytes`]. Returns a
+/// [`PersistReport`] with the bytes written and the wall time spent.
+pub fn save_store(
+    table: &DecomposedTable,
+    specs: &[SegmentSpec],
+    stats: &[SegmentStats],
+    learned: Option<&[u8]>,
+    codes: Option<&StoreCodes>,
+    path: &Path,
+) -> Result<PersistReport> {
+    let started = std::time::Instant::now();
+    validate_write_inputs(table, specs, stats, codes)?;
+    let io_err = |e: std::io::Error| VdError::Io(format!("writing {}: {e}", path.display()));
+    let file = std::fs::File::create(path).map_err(io_err)?;
+    let mut w = std::io::BufWriter::new(file);
+    let bytes_written =
+        write_store_to(&mut w, table, specs, stats, learned, codes).map_err(io_err)?;
     w.flush().map_err(io_err)?;
-    let bytes_written = footer_offset + footer.len() as u64 + 16 + TAIL_MAGIC_V2.len() as u64;
     Ok(PersistReport { bytes_written, elapsed_micros: started.elapsed().as_micros() as u64 })
 }
 
@@ -398,7 +372,7 @@ pub fn write_store(
     let specs = table.partition_specs(partitions);
     let stats: Vec<SegmentStats> =
         specs.iter().map(|s| s.view(table).expect("spec in range").stats()).collect();
-    save_store(table, &specs, &stats, None, path)
+    save_store(table, &specs, &stats, None, None, path)
 }
 
 /// Reconstructs a store from an in-memory v2 byte buffer (heap columns).
@@ -776,13 +750,20 @@ fn assemble_store(
     })
 }
 
-/// Checks that a code companion covers exactly this table and these segment
-/// boundaries — the writer-side invariant of the footer's codes section.
-fn validate_codes_inputs(
+/// Checks a store write's inputs: the segment layout
+/// ([`validate_store_inputs`]) and, when present, that the code companion
+/// covers exactly this table and these segment boundaries — the
+/// writer-side invariant of the footer's codes section.
+fn validate_write_inputs(
     table: &DecomposedTable,
     specs: &[SegmentSpec],
-    codes: &StoreCodes,
+    stats: &[SegmentStats],
+    codes: Option<&StoreCodes>,
 ) -> Result<()> {
+    validate_store_inputs(table, specs, stats)?;
+    let Some(codes) = codes else {
+        return Ok(());
+    };
     if codes.rows() != table.rows() || codes.dims() != table.dims() {
         return Err(VdError::InvalidArgument(format!(
             "codes cover {} rows x {} dims, table holds {} x {}",
@@ -949,7 +930,7 @@ mod tests {
         let t = sample();
         let specs = t.partition_specs(partitions);
         let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
-        store_to_bytes(&t, &specs, &stats, None).unwrap()
+        store_to_bytes(&t, &specs, &stats, None, None).unwrap()
     }
 
     #[test]
@@ -1010,7 +991,7 @@ mod tests {
         let t = sample();
         let specs = t.partition_specs(2);
         let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
-        let bytes = store_to_bytes(&t, &specs, &stats, None).unwrap();
+        let bytes = store_to_bytes(&t, &specs, &stats, None, None).unwrap();
         let store = store_from_bytes(&bytes).unwrap();
         assert_eq!(store.backend, StorageBackend::Heap);
         assert_eq!(store.table, t);
@@ -1036,13 +1017,13 @@ mod tests {
         let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
         // specs/stats must be parallel
         assert!(matches!(
-            store_to_bytes(&t, &specs, &stats[..1], None),
+            store_to_bytes(&t, &specs, &stats[..1], None, None),
             Err(VdError::InvalidArgument(_))
         ));
         // stats must cover the spec's range
         let swapped = vec![stats[1].clone(), stats[0].clone()];
         assert!(matches!(
-            store_to_bytes(&t, &specs, &swapped, None),
+            store_to_bytes(&t, &specs, &swapped, None, None),
             Err(VdError::InvalidArgument(_))
         ));
         // specs must tile the table
@@ -1050,7 +1031,7 @@ mod tests {
         let gappy_stats: Vec<SegmentStats> =
             gappy.iter().map(|s| s.view(&t).unwrap().stats()).collect();
         assert!(matches!(
-            store_to_bytes(&t, &gappy, &gappy_stats, None),
+            store_to_bytes(&t, &gappy, &gappy_stats, None, None),
             Err(VdError::InvalidArgument(_))
         ));
     }
@@ -1084,9 +1065,9 @@ mod tests {
         let t = sample();
         let specs = t.partition_specs(2);
         let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
-        save_store(&t, &specs, &stats, None, &path).unwrap();
+        save_store(&t, &specs, &stats, None, None, &path).unwrap();
         let streamed = std::fs::read(&path).unwrap();
-        let in_memory = store_to_bytes(&t, &specs, &stats, None).unwrap();
+        let in_memory = store_to_bytes(&t, &specs, &stats, None, None).unwrap();
         assert_eq!(streamed, in_memory.to_vec(), "the two writers must never diverge");
         std::fs::remove_file(&path).unwrap();
     }
@@ -1124,7 +1105,7 @@ mod tests {
         let t = sample();
         let specs = t.partition_specs(2);
         let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
-        let bytes = store_to_bytes(&t, &specs, &stats, None).unwrap();
+        let bytes = store_to_bytes(&t, &specs, &stats, None, None).unwrap();
         let store = store_from_bytes(&bytes).unwrap();
         assert_eq!(store.fragment_checksums.len(), t.dims());
         for (d, &checksum) in store.fragment_checksums.iter().enumerate() {
@@ -1203,7 +1184,7 @@ mod tests {
         let specs = t.partition_specs(1);
         let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
         let payload = vec![7u8, 13, 42, 0, 255];
-        let bytes = store_to_bytes(&t, &specs, &stats, Some(&payload)).unwrap();
+        let bytes = store_to_bytes(&t, &specs, &stats, Some(&payload), None).unwrap();
         let store = store_from_bytes(&bytes).unwrap();
         assert_eq!(store.learned.as_deref(), Some(&payload[..]));
 
@@ -1212,7 +1193,7 @@ mod tests {
         let dir = std::env::temp_dir().join("vdstore_store_learned_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("learned.bondvd");
-        save_store(&t, &specs, &stats, Some(&payload), &path).unwrap();
+        save_store(&t, &specs, &stats, Some(&payload), None, &path).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), bytes.to_vec());
         let heap = open_store(&path, StorageBackend::Heap).unwrap();
         assert_eq!(heap.learned.as_deref(), Some(&payload[..]));
@@ -1232,10 +1213,10 @@ mod tests {
         let codes = StoreCodes::build(&t, &specs, &stats, 8).unwrap();
 
         // a store written without codes still parses — as "no codes"
-        let plain = store_to_bytes(&t, &specs, &stats, None).unwrap();
+        let plain = store_to_bytes(&t, &specs, &stats, None, None).unwrap();
         assert!(store_from_bytes(&plain).unwrap().codes.is_none());
 
-        let bytes = store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&codes)).unwrap();
+        let bytes = store_to_bytes(&t, &specs, &stats, None, Some(&codes)).unwrap();
         let store = store_from_bytes(&bytes).unwrap();
         let back = store.codes.as_ref().unwrap();
         assert_eq!(back.bits(), 8);
@@ -1257,7 +1238,7 @@ mod tests {
         let dir = std::env::temp_dir().join("vdstore_store_codes_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("codes.bondvd");
-        save_store_with_codes(&t, &specs, &stats, None, Some(&codes), &path).unwrap();
+        save_store(&t, &specs, &stats, None, Some(&codes), &path).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), bytes.to_vec());
         let heap = open_store(&path, StorageBackend::Heap).unwrap();
         assert_eq!(heap.codes.as_ref().unwrap().dim_codes(0).unwrap(), codes.dim_codes(0).unwrap());
@@ -1286,7 +1267,7 @@ mod tests {
             other_specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
         let mismatched = StoreCodes::build(&t, &other_specs, &other_stats, 8).unwrap();
         assert!(matches!(
-            store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&mismatched)),
+            store_to_bytes(&t, &specs, &stats, None, Some(&mismatched)),
             Err(VdError::InvalidArgument(_))
         ));
     }
@@ -1298,7 +1279,7 @@ mod tests {
         let stats: Vec<SegmentStats> = specs.iter().map(|s| s.view(&t).unwrap().stats()).collect();
         let mixed = StoreCodes::build_mixed(&t, &specs, &stats, &[4, 8]).unwrap();
 
-        let bytes = store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&mixed)).unwrap();
+        let bytes = store_to_bytes(&t, &specs, &stats, None, Some(&mixed)).unwrap();
         let back = store_from_bytes(&bytes).unwrap();
         let back = back.codes.as_ref().unwrap();
         assert_eq!(back.segment_bits(), &[4, 8]);
@@ -1317,8 +1298,7 @@ mod tests {
         // bytes must not mention the sentinel at all (they are exactly one
         // uniform-width byte shorter than the equivalent sentinel form)
         let uniform = StoreCodes::build(&t, &specs, &stats, 8).unwrap();
-        let uniform_bytes =
-            store_to_bytes_with_codes(&t, &specs, &stats, None, Some(&uniform)).unwrap();
+        let uniform_bytes = store_to_bytes(&t, &specs, &stats, None, Some(&uniform)).unwrap();
         let sentinel_overhead = specs.len();
         assert_eq!(uniform_bytes.len() + sentinel_overhead, bytes.len());
         assert_eq!(
@@ -1330,7 +1310,7 @@ mod tests {
         let dir = std::env::temp_dir().join("vdstore_store_mixed_codes_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mixed.bondvd");
-        save_store_with_codes(&t, &specs, &stats, None, Some(&mixed), &path).unwrap();
+        save_store(&t, &specs, &stats, None, Some(&mixed), &path).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), bytes.to_vec());
         let heap = open_store(&path, StorageBackend::Heap).unwrap();
         assert_eq!(heap.codes.as_ref().unwrap().segment_bits(), &[4, 8]);

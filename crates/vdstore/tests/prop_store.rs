@@ -156,7 +156,7 @@ proptest! {
         }
         let specs = table.partition_specs(1);
         let stats = [specs[0].view(&table).unwrap().stats()];
-        let bytes = persist::store_to_bytes(&table, &specs, &stats, None).unwrap();
+        let bytes = persist::store_to_bytes(&table, &specs, &stats, None, None).unwrap();
         let back = persist::store_from_bytes(&bytes).unwrap().table;
         prop_assert_eq!(back.rows(), table.rows());
         prop_assert_eq!(back.dims(), table.dims());
@@ -184,7 +184,8 @@ proptest! {
             specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
         let learned = vec![0xFEu8; (partitions * 3) % 7];
         let learned = (!learned.is_empty()).then_some(learned);
-        let bytes = persist::store_to_bytes(&table, &specs, &stats, learned.as_deref()).unwrap();
+        let bytes =
+            persist::store_to_bytes(&table, &specs, &stats, learned.as_deref(), None).unwrap();
         let store = persist::store_from_bytes(&bytes).unwrap();
         prop_assert_eq!(store.learned.as_deref(), learned.as_deref());
 
@@ -212,7 +213,7 @@ proptest! {
             specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
         let codes = vdstore::StoreCodes::build(&table, &specs, &stats, bits).unwrap();
         let bytes =
-            persist::store_to_bytes_with_codes(&table, &specs, &stats, None, Some(&codes))
+            persist::store_to_bytes(&table, &specs, &stats, None, Some(&codes))
                 .unwrap();
         let store = persist::store_from_bytes(&bytes).unwrap();
         let back = store.codes.as_ref().unwrap();
@@ -247,7 +248,7 @@ proptest! {
         let specs = table.partition_specs(partitions);
         let stats: Vec<vdstore::SegmentStats> =
             specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
-        let bytes = persist::store_to_bytes(&table, &specs, &stats, None).unwrap();
+        let bytes = persist::store_to_bytes(&table, &specs, &stats, None, None).unwrap();
         // every proper prefix must fail with a typed error, never a panic
         let cut = cut_seed % bytes.len();
         let err = persist::store_from_bytes(&bytes[..cut]).unwrap_err();
@@ -267,7 +268,8 @@ proptest! {
         let specs = table.partition_specs(2);
         let stats: Vec<vdstore::SegmentStats> =
             specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
-        let mut bytes = persist::store_to_bytes(&table, &specs, &stats, None).unwrap().to_vec();
+        let mut bytes =
+            persist::store_to_bytes(&table, &specs, &stats, None, None).unwrap().to_vec();
         let at = flip_seed % bytes.len();
         bytes[at] ^= flip_bits;
         // a flipped byte in the data region is caught by the fragment

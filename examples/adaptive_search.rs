@@ -1,6 +1,7 @@
-//! Per-segment adaptive search plans on clustered data: stats-driven
-//! dimension orderings, warmup schedules and κ-aware whole-segment
-//! skipping, compared against the uniform (global-plan) engine.
+//! Per-segment adaptive search plans on clustered data: the feedback
+//! planner's stats-driven dimension orderings and warmup schedules,
+//! most-promising-first segment visits and κ-aware whole-segment skipping,
+//! compared against the uniform (global-plan) engine.
 //!
 //! ```text
 //! cargo run --release --example adaptive_search
@@ -34,7 +35,9 @@ fn main() {
     );
 
     // 2. Two engines over the same table: one global plan vs. one plan per
-    //    segment (plus zone-map segment skipping).
+    //    segment (plus most-promising-first visits and zone-map segment
+    //    skipping). A fresh feedback engine is cold: every segment plans
+    //    a-priori from its statistics until its searches fold in.
     let build = |planner: PlannerKind| {
         Engine::builder(table.clone())
             .partitions(partitions)
@@ -45,11 +48,11 @@ fn main() {
             .expect("valid engine configuration")
     };
     let uniform = build(PlannerKind::Uniform);
-    let adaptive = build(PlannerKind::Adaptive);
+    let feedback = build(PlannerKind::Feedback);
 
-    // 3. The adaptive planner reads the per-segment statistics the engine
+    // 3. The feedback planner reads the per-segment statistics the engine
     //    cached at build time; show how much the segments disagree.
-    let stats = adaptive.segment_stats();
+    let stats = feedback.segment_stats();
     println!("\nper-segment mean of dimension 0 (segments hold different clusters):");
     for s in stats {
         let mean0 = s.per_dim[0].as_ref().map_or(f64::NAN, |c| c.mean);
@@ -73,19 +76,19 @@ fn main() {
     };
     println!();
     let u = run(&uniform, "uniform");
-    let a = run(&adaptive, "adaptive");
+    let a = run(&feedback, "feedback");
 
-    // 5. Rank-correctness: the adaptive engine returns the same rows in the
+    // 5. Rank-correctness: the feedback engine returns the same rows in the
     //    same order (scores re-verified at merge, ties broken on row id).
     for (qu, qa) in u.queries.iter().zip(&a.queries) {
         let rows = |hits: &[vdstore::topk::Scored]| hits.iter().map(|h| h.row).collect::<Vec<_>>();
         assert_eq!(rows(&qu.hits), rows(&qa.hits), "same k-NN set and ranks");
     }
-    println!("\nadaptive answers match the uniform engine's, rank for rank");
+    println!("\nfeedback answers match the uniform engine's, rank for rank");
 
     // 6. Where the savings come from: one query's per-segment behaviour.
     let q0 = &a.queries[0];
-    println!("\nquery 0 under the adaptive planner:");
+    println!("\nquery 0 under the feedback planner (cold first pass):");
     for run in &q0.segments {
         if run.trace.segment_skipped {
             println!(

@@ -16,7 +16,7 @@
 //! all four rules to a sidecar file. `verify` — typically a *separate
 //! process* — cold-opens the store via `EngineBuilder::open`, re-runs the
 //! same queries and exits non-zero on any deviation: bit-identical hits
-//! under uniform planning, rank-identical hits under adaptive planning.
+//! under uniform planning, rank-identical hits under feedback planning.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -145,32 +145,32 @@ fn verify(store: &Path) {
         N_QUERIES,
     );
 
-    // adaptive planning on the reopened engine: rank-correct + zone-map
+    // feedback planning on the reopened engine: rank-correct + zone-map
     // skips driven purely by the footer statistics
     let mut skipped = 0usize;
     for (qi, q) in queries.iter().enumerate() {
         let spec =
-            QuerySpec::new(q.clone(), K).rule(RuleKind::EuclideanEv).planner(PlannerKind::Adaptive);
-        let adaptive = engine.search_spec(&spec).expect("adaptive query executes");
+            QuerySpec::new(q.clone(), K).rule(RuleKind::EuclideanEv).planner(PlannerKind::Feedback);
+        let feedback = engine.search_spec(&spec).expect("feedback query executes");
         let reference = engine.sequential_reference_spec(&spec).expect("reference executes");
-        skipped += adaptive.segments_skipped();
-        if adaptive.hits.len() != reference.len() {
+        skipped += feedback.segments_skipped();
+        if feedback.hits.len() != reference.len() {
             eprintln!(
-                "FAIL: adaptive query {qi}: {} hits vs {} in the reference",
-                adaptive.hits.len(),
+                "FAIL: feedback query {qi}: {} hits vs {} in the reference",
+                feedback.hits.len(),
                 reference.len()
             );
             std::process::exit(1);
         }
-        for (rank, (a, r)) in adaptive.hits.iter().zip(&reference).enumerate() {
+        for (rank, (a, r)) in feedback.hits.iter().zip(&reference).enumerate() {
             if a.row != r.row {
-                eprintln!("FAIL: adaptive query {qi} rank {rank}: row {} vs {}", a.row, r.row);
+                eprintln!("FAIL: feedback query {qi} rank {rank}: row {} vs {}", a.row, r.row);
                 std::process::exit(1);
             }
         }
     }
     println!(
-        "OK: adaptive planning rank-correct on the reopened engine; \
+        "OK: feedback planning rank-correct on the reopened engine; \
          {skipped} of {} segment searches skipped via persisted zone maps",
         N_QUERIES * PARTITIONS,
     );

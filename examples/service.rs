@@ -38,7 +38,7 @@ fn main() {
 
     // 3. Simulate a mixed production workload from 6 concurrent client
     //    threads: navigation queries (k=10, default rule), lookups (k=1,
-    //    Euclidean), and re-ranking jobs (k=50, adaptive planning).
+    //    Euclidean), and re-ranking jobs (k=50, feedback planning).
     let queries = sample_queries(&table, 36, 99);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
@@ -50,7 +50,7 @@ fn main() {
                     let spec = match i % 3 {
                         0 => QuerySpec::new(q.clone(), 10),
                         1 => QuerySpec::new(q.clone(), 1).rule(RuleKind::EuclideanEq),
-                        _ => QuerySpec::new(q.clone(), 50).planner(PlannerKind::Adaptive),
+                        _ => QuerySpec::new(q.clone(), 50).planner(PlannerKind::Feedback),
                     };
                     let ticket = server.submit(spec.clone()).expect("spec admitted");
                     let answer = ticket.wait().expect("request served");

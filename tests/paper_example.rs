@@ -78,7 +78,7 @@ fn persisted_collection_round_trips_through_search() {
     let table = DecomposedTable::from_vectors("table2", &collection()).unwrap();
     let specs = table.partition_specs(2);
     let stats: Vec<_> = specs.iter().map(|s| s.view(&table).unwrap().stats()).collect();
-    let bytes = vdstore::persist::store_to_bytes(&table, &specs, &stats, None).unwrap();
+    let bytes = vdstore::persist::store_to_bytes(&table, &specs, &stats, None, None).unwrap();
     let reloaded = vdstore::persist::store_from_bytes(&bytes).unwrap().table;
     let searcher = BondSearcher::new(&reloaded);
     let outcome = searcher.histogram_intersection_hq(&query(), 3, &BondParams::default()).unwrap();
